@@ -217,10 +217,12 @@ func BenchmarkCharacterizeNAND2Fast(b *testing.B) {
 	}
 }
 
-// BenchmarkTableInterp4D times the hot lookup of the stage solver.
+// BenchmarkTableInterp4D times one self-contained 4-D lookup (At: seek
+// plus value), the path of NLDM tables and the explicit integrator.
 func BenchmarkTableInterp4D(b *testing.B) {
 	m := benchModel(b)
 	coords := []float64{0.3, 0.9, 1.1, 0.6}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
@@ -229,15 +231,20 @@ func BenchmarkTableInterp4D(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkTableGrad4D times lookup-with-gradient (the Newton path).
+// BenchmarkTableGrad4D times lookup-with-gradient as the Newton assembly
+// does it: one Seek into a reused cursor, then ValueGrad into a reused
+// buffer.
 func BenchmarkTableGrad4D(b *testing.B) {
 	m := benchModel(b)
 	coords := []float64{0.3, 0.9, 1.1, 0.6}
+	var cur table.Cursor
+	grad := make([]float64, len(coords))
+	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		v, g := m.Io.Grad(coords...)
-		sink += v + g[0]
+		m.Io.Seek(&cur, coords)
+		sink += m.Io.ValueGrad(&cur, grad) + grad[0]
 	}
 	_ = sink
 }
@@ -296,10 +303,6 @@ func BenchmarkWaveformRMSE(b *testing.B) {
 	}
 	_ = sink
 }
-
-// Compile-time check that the table package is exercised from the root
-// package (axes are part of the public model surface).
-var _ = table.Axis{}
 
 // BenchmarkNoisePropagation regenerates EXP-N1.
 func BenchmarkNoisePropagation(b *testing.B) { benchExperiment(b, "noiseprop") }

@@ -65,7 +65,7 @@ type EngineFlags struct {
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Parallel, "parallel", 0, "worker-pool width for level-parallel analysis (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&ef.CacheDir, "cache", "", "model cache directory: spill characterized models as JSON and reload them on later runs")
+	fs.StringVar(&ef.CacheDir, "cache", "", "model cache directory: spill characterized models (binary .mcsm artifact plus JSON) and reload them on later runs")
 	return ef
 }
 

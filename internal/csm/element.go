@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mcsm/internal/spice"
+	"mcsm/internal/table"
 )
 
 // Cell is a characterized CSM instantiated as a spice.Element: the model's
@@ -27,6 +28,15 @@ type Cell struct {
 
 	vnAux int // absolute unknown index of VN (KindMCSM)
 
+	// Table lookups, each group located once per evaluation point: the
+	// current sources (Io, then IN for KindMCSM) at every Newton
+	// assembly, the capacitances at every step start.
+	currents tableGroup
+	caps     tableGroup
+	capDst   []*float64 // capDst[k] receives caps table k
+	gradIo   []float64
+	gradIN   []float64
+
 	// Per-step frozen capacitance values and branch histories.
 	cmVal   []float64
 	cinVal  []float64
@@ -41,8 +51,55 @@ type Cell struct {
 	cmNO    auxCap
 	cnIPrev float64 // trapezoidal history of the internal-node capacitor
 
-	coordBuf []float64
+	coordBuf []float64 // coordinate scratch, capacity rank
 	vnInit   float64
+}
+
+// tableGroup evaluates a fixed list of same-rank tables at one coordinate
+// vector, locating the vector once per distinct grid: tables whose axes
+// are bit-identical (table.SameGrid) share a cursor, and a table on a
+// grid of its own gets its own. Sharing is exact — a cursor's lookups
+// equal per-table At/Grad bit for bit — so grouping never changes a value.
+type tableGroup struct {
+	tables  []*table.Table
+	cursor  []int          // tables[k] reads cursors[cursor[k]]
+	leads   []*table.Table // leads[g] is the table cursors[g] seeks on
+	cursors []table.Cursor
+}
+
+func newTableGroup(tables ...*table.Table) tableGroup {
+	g := tableGroup{tables: tables, cursor: make([]int, len(tables))}
+	for k, t := range tables {
+		g.cursor[k] = len(g.leads)
+		for j, lead := range g.leads {
+			if table.SameGrid(lead, t) {
+				g.cursor[k] = j
+				break
+			}
+		}
+		if g.cursor[k] == len(g.leads) {
+			g.leads = append(g.leads, t)
+		}
+	}
+	g.cursors = make([]table.Cursor, len(g.leads))
+	return g
+}
+
+// seek locates coords on every distinct grid of the group.
+func (g *tableGroup) seek(coords []float64) {
+	for j, lead := range g.leads {
+		lead.Seek(&g.cursors[j], coords)
+	}
+}
+
+// value evaluates table k at the last seeked point.
+func (g *tableGroup) value(k int) float64 {
+	return g.tables[k].Value(&g.cursors[g.cursor[k]])
+}
+
+// valueGrad evaluates table k and its gradient at the last seeked point.
+func (g *tableGroup) valueGrad(k int, grad []float64) float64 {
+	return g.tables[k].ValueGrad(&g.cursors[g.cursor[k]], grad)
 }
 
 // auxCap integrates a capacitive branch between a circuit node and the
@@ -103,20 +160,47 @@ func NewCell(name string, m *Model, inputs []spice.Node, out spice.Node, receive
 	if len(inputs) != len(m.Inputs) {
 		return nil, fmt.Errorf("csm: %d input nodes for %d-input model", len(inputs), len(m.Inputs))
 	}
-	return &Cell{
+	rank := m.rank()
+	c := &Cell{
 		name:             name,
 		model:            m,
 		inputs:           append([]spice.Node(nil), inputs...),
 		out:              out,
 		withReceiverCaps: receiverCaps,
+		gradIo:           make([]float64, rank),
 		cmVal:            make([]float64, len(inputs)),
 		cinVal:           make([]float64, len(inputs)),
 		cmNVal:           make([]float64, len(inputs)),
 		cm:               make([]spice.CapBranch, len(inputs)),
 		cin:              make([]spice.CapBranch, len(inputs)),
 		cmN:              make([]auxCap, len(inputs)),
+		coordBuf:         make([]float64, 0, rank),
 		vnInit:           m.Vdd / 2,
-	}, nil
+	}
+	currents := []*table.Table{m.Io}
+	var caps []*table.Table
+	addCap := func(t *table.Table, dst *float64) {
+		caps = append(caps, t)
+		c.capDst = append(c.capDst, dst)
+	}
+	for i, t := range m.Cm {
+		addCap(t, &c.cmVal[i])
+	}
+	addCap(m.Co, &c.coVal)
+	if m.Kind == KindMCSM {
+		currents = append(currents, m.IN)
+		c.gradIN = make([]float64, rank)
+		addCap(m.CN, &c.cnVal)
+	}
+	if m.HasInternalMiller() {
+		for i, t := range m.CmN {
+			addCap(t, &c.cmNVal[i])
+		}
+		addCap(m.CmNO, &c.cmNOVal)
+	}
+	c.currents = newTableGroup(currents...)
+	c.caps = newTableGroup(caps...)
+	return c, nil
 }
 
 // Name returns the element name.
@@ -150,48 +234,32 @@ func (c *Cell) InitGuess(x []float64) {
 	}
 }
 
-// coords assembles the model coordinate vector at the candidate solution.
-func (c *Cell) coords(ctx *spice.Context) []float64 {
+// coords assembles the model coordinate vector from the unknown vector x
+// (the candidate or the last accepted solution) in the cell's scratch.
+func (c *Cell) coords(x []float64) []float64 {
 	buf := c.coordBuf[:0]
 	for _, n := range c.inputs {
-		buf = append(buf, ctx.V(n))
+		buf = append(buf, nodeV(x, n))
 	}
 	if c.model.Kind == KindMCSM {
-		buf = append(buf, ctx.Aux(c.vnAux))
+		buf = append(buf, x[c.vnAux])
 	}
-	buf = append(buf, ctx.V(c.out))
-	c.coordBuf = buf
-	return buf
+	return append(buf, nodeV(x, c.out))
 }
 
-// coordsPrev assembles coordinates at the last accepted solution.
-func (c *Cell) coordsPrev(ctx *spice.Context) []float64 {
-	buf := make([]float64, 0, c.model.rank())
-	for _, n := range c.inputs {
-		buf = append(buf, ctx.Vprev(n))
+// nodeV reads node n's voltage from an unknown vector (ground is 0).
+func nodeV(x []float64, n spice.Node) float64 {
+	if n == spice.Ground {
+		return 0
 	}
-	if c.model.Kind == KindMCSM {
-		buf = append(buf, ctx.AuxPrev(c.vnAux))
-	}
-	buf = append(buf, ctx.Vprev(c.out))
-	return buf
+	return x[int(n)-1]
 }
 
 // BeginStep freezes the capacitance tables at the start-of-step point.
 func (c *Cell) BeginStep(ctx *spice.Context) {
-	coords := c.coordsPrev(ctx)
-	for i := range c.cmVal {
-		c.cmVal[i] = c.model.Cm[i].At(coords...)
-	}
-	c.coVal = c.model.Co.At(coords...)
-	if c.model.Kind == KindMCSM {
-		c.cnVal = c.model.CN.At(coords...)
-	}
-	if c.model.HasInternalMiller() {
-		for i := range c.cmNVal {
-			c.cmNVal[i] = c.model.CmN[i].At(coords...)
-		}
-		c.cmNOVal = c.model.CmNO.At(coords...)
+	c.caps.seek(c.coords(ctx.Xprev))
+	for k, dst := range c.capDst {
+		*dst = c.caps.value(k)
 	}
 	if c.withReceiverCaps {
 		for i, n := range c.inputs {
@@ -213,14 +281,15 @@ func (c *Cell) unknownOf(k int) int {
 
 // Stamp adds the linearized current sources and the capacitive branches.
 func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
-	coords := c.coords(ctx)
+	coords := c.coords(ctx.X)
+	c.currents.seek(coords)
 	outIdx := int(c.out) - 1
 
 	// Output current source: the cell injects Io into the output node, so
 	// the current *leaving* the node into the element is −Io.
-	io, gradIo := c.model.Io.Grad(coords...)
+	io := c.currents.valueGrad(0, c.gradIo)
 	lin := 0.0
-	for k, g := range gradIo {
+	for k, g := range c.gradIo {
 		sys.AddA(outIdx, c.unknownOf(k), -g)
 		lin += -g * coords[k]
 	}
@@ -230,9 +299,9 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 		// Internal node equation (implicit Eq. 5): CN·dVN/dt − IN(V) = 0,
 		// plus a gmin-scale leak mirroring the engine's node treatment.
 		row := c.vnAux
-		iN, gradIN := c.model.IN.Grad(coords...)
+		iN := c.currents.valueGrad(1, c.gradIN)
 		linN := 0.0
-		for k, g := range gradIN {
+		for k, g := range c.gradIN {
 			sys.AddA(row, c.unknownOf(k), -g)
 			linN += -g * coords[k]
 		}

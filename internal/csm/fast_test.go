@@ -16,8 +16,8 @@ func TestSeedStep(t *testing.T) {
 		want       float64
 	}{
 		{times, 0.1e-12, 100e-12, 3e-12},
-		{times, 5e-12, 100e-12, 5e-12},   // clamp up
-		{times, 0.1e-12, 2e-12, 2e-12},   // clamp down
+		{times, 5e-12, 100e-12, 5e-12},         // clamp up
+		{times, 0.1e-12, 2e-12, 2e-12},         // clamp down
 		{[]float64{0, 1e-12}, 1e-12, 9e-12, 0}, // too short: no seed
 		{nil, 1e-12, 9e-12, 0},
 	}

@@ -17,7 +17,7 @@ var fixtures struct {
 
 // fixtureModel characterizes (or returns the cached) model of the given
 // cell and kind under FastConfig.
-func fixtureModel(t *testing.T, cell string, kind Kind) *Model {
+func fixtureModel(t testing.TB, cell string, kind Kind) *Model {
 	t.Helper()
 	key := cell + "/" + kind.String()
 	fixtures.mu.Lock()

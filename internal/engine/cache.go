@@ -34,9 +34,9 @@ import (
 // of a characterization: technology, cell spec, model kind, and config.
 // Concurrent Gets of the same key are deduplicated singleflight-style —
 // exactly one goroutine characterizes while the others block on the result.
-// With a spill directory set, models are persisted as JSON (via the
-// csm.Model codecs) and reloaded instead of re-characterized across
-// processes.
+// With a spill directory set, models are persisted as binary artifacts
+// (internal/artifact) with a JSON copy alongside, and reloaded instead of
+// re-characterized across processes.
 type ModelCache struct {
 	dir string // spill directory ("" = in-memory only)
 
@@ -78,10 +78,10 @@ func (c *ModelCache) SetLogf(f func(format string, args ...any)) {
 }
 
 // NewSpillCache returns a cache that additionally persists characterized
-// models as JSON files under dir and reloads them on later misses (also
-// across processes). dir is created on first spill; an empty dir yields a
-// plain in-memory cache, so callers can pass an optional flag through
-// unconditionally.
+// models (binary artifact plus JSON) under dir and reloads them on later
+// misses (also across processes). dir is created on first spill; an empty
+// dir yields a plain in-memory cache, so callers can pass an optional flag
+// through unconditionally.
 func NewSpillCache(dir string) *ModelCache {
 	c := NewModelCache()
 	c.dir = dir

@@ -24,8 +24,8 @@ type Config struct {
 	// analyses (0 = GOMAXPROCS, 1 = serial). Results are bit-identical
 	// either way; this only trades wall time.
 	Workers int
-	// CacheDir, when set, spills characterized models as JSON under this
-	// directory and reloads them across sessions.
+	// CacheDir, when set, spills characterized models (binary artifact
+	// plus JSON) under this directory and reloads them across sessions.
 	CacheDir string
 }
 

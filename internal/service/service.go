@@ -55,8 +55,8 @@ type Config struct {
 	// Workers is the engine worker-pool width per analysis
 	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical either way.
 	Workers int
-	// CacheDir, when set, spills characterized models as JSON and reloads
-	// them across server restarts.
+	// CacheDir, when set, spills characterized models (binary artifact
+	// plus JSON) and reloads them across server restarts.
 	CacheDir string
 	// MaxInFlight bounds the number of analyses computing concurrently;
 	// excess requests queue (respecting their deadlines). Coalesced

@@ -107,9 +107,9 @@ func TestAdaptiveDtInitSeeding(t *testing.T) {
 	cases := []struct {
 		init, want float64
 	}{
-		{0, 4e-12},        // default DtMin·4
-		{25e-12, 25e-12},  // used as-is
-		{0.1e-12, 1e-12},  // clamped up to DtMin
+		{0, 4e-12},         // default DtMin·4
+		{25e-12, 25e-12},   // used as-is
+		{0.1e-12, 1e-12},   // clamped up to DtMin
 		{900e-12, 100e-12}, // clamped down to DtMax
 	}
 	for _, tc := range cases {

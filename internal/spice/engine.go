@@ -377,7 +377,8 @@ func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64) (*Result, error)
 	if len(x0) != n {
 		return nil, fmt.Errorf("spice: initial state has %d unknowns, want %d", len(x0), n)
 	}
-	res := newResult(e.ckt, n)
+	nSteps := int(math.Ceil((stop - start) / dt))
+	res := newResult(e.ckt, n, nSteps+1)
 
 	x := make([]float64, n)
 	xprev := make([]float64, n)
@@ -393,7 +394,6 @@ func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64) (*Result, error)
 	}
 
 	res.record(start, x0)
-	nSteps := int(math.Ceil((stop - start) / dt))
 	for k := 1; k <= nSteps; k++ {
 		tEnd := start + float64(k)*dt
 		if tEnd > stop {

@@ -282,3 +282,36 @@ func TestResultHelpers(t *testing.T) {
 		t.Error("ground wave not zero")
 	}
 }
+
+// TestResultReservation: a fixed-step run records into exactly the rows it
+// reserved; a reservation beyond maxReservedSteps (or an overflowed step
+// count) falls back to chunked growth, and rows recorded past any
+// reservation keep their values.
+func TestResultReservation(t *testing.T) {
+	c := NewCircuit()
+	n := c.Node("n")
+	c.AddVSource("V", n, Ground, DC(1))
+	e := NewEngine(c, DefaultOptions())
+	res, err := e.Run(0, 1e-9, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(res.Times) != res.Steps() || len(res.arena) != 0 {
+		t.Errorf("run of %d points reserved %d time slots, %d arena floats left over",
+			res.Steps(), cap(res.Times), len(res.arena))
+	}
+	for _, steps := range []int{-1, maxReservedSteps + 1} {
+		if r := newResult(c, 2, steps); cap(r.Times) != 0 || len(r.arena) != 0 {
+			t.Errorf("newResult(steps=%d) reserved %d slots", steps, cap(r.Times))
+		}
+	}
+	r := newResult(c, 2, 1)
+	for k := 0; k < 3; k++ {
+		r.record(float64(k), []float64{float64(k), -float64(k)})
+	}
+	for k := 0; k < 3; k++ {
+		if r.At(k, 0) != float64(k) || r.At(k, 1) != -float64(k) {
+			t.Errorf("row %d = %v after growing past the reservation", k, r.values[k])
+		}
+	}
+}

@@ -12,17 +12,35 @@ type Result struct {
 	ckt    *Circuit
 	Times  []float64
 	values [][]float64 // values[k] is the unknown vector at Times[k]
-	arena  []float64   // chunked backing store the rows of values slice into
+	arena  []float64   // backing store the rows of values slice into
 }
 
-func newResult(c *Circuit, n int) *Result {
-	return &Result{ckt: c}
+// maxReservedSteps bounds the record newResult reserves up front. A longer
+// run (a mistaken or hostile dt) grows its record chunk by chunk instead,
+// so no window can demand one giant allocation before its first step.
+const maxReservedSteps = 1 << 20
+
+// newResult returns a record for n unknowns with room reserved for steps
+// time points: one arena holds every row, so a run that records at most
+// steps points allocates nothing more. Pass 0 when the count is unknown
+// (adaptive stepping); record then grows the arena a chunk at a time.
+func newResult(c *Circuit, n, steps int) *Result {
+	if steps < 0 || steps > maxReservedSteps {
+		steps = 0
+	}
+	return &Result{
+		ckt:    c,
+		Times:  make([]float64, 0, steps),
+		values: make([][]float64, 0, steps),
+		arena:  make([]float64, steps*n),
+	}
 }
 
-// record appends a snapshot of x. Rows are carved out of a chunked arena
-// (64 steps per chunk) so a transient run costs O(steps/64) allocations
-// instead of one per step; rows never move once handed out, so retained
-// sub-slices in values stay valid as the arena advances.
+// record appends a snapshot of x. Rows are carved out of the arena; when
+// it runs out a fresh 64-step chunk is allocated, so an unreserved run
+// costs O(steps/64) allocations instead of one per step. Rows never move
+// once handed out, so retained sub-slices in values stay valid as the
+// arena advances.
 func (r *Result) record(t float64, x []float64) {
 	if len(x) > 0 {
 		if len(r.arena) < len(x) {

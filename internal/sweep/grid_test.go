@@ -145,14 +145,14 @@ func TestParseGrid(t *testing.T) {
 
 	// Error cases.
 	for _, bad := range []string{
-		"skew",              // no '='
-		"tilt=1p",           // unknown axis
-		"skew=1p:2p",        // malformed range
-		"skew=2p:1p:1p",     // hi < lo
-		"skew=1p:2p:0",      // zero step
-		"slew=abc",          // not a number
-		"load=0",            // non-positive load
-		"slew=",             // empty list
+		"skew",          // no '='
+		"tilt=1p",       // unknown axis
+		"skew=1p:2p",    // malformed range
+		"skew=2p:1p:1p", // hi < lo
+		"skew=1p:2p:0",  // zero step
+		"slew=abc",      // not a number
+		"load=0",        // non-positive load
+		"slew=",         // empty list
 	} {
 		if _, err := ParseGrid(bad, base); err == nil {
 			t.Errorf("accepted %q", bad)

@@ -11,13 +11,16 @@
 // Interpolation clamps query coordinates to the axis span, matching the
 // paper's characterization over [-Δv, Vdd+Δv]: the safety margin Δv ensures
 // in-range lookups for mild over/undershoot, and anything beyond saturates.
+//
+// Every lookup goes through one kernel: Seek locates a coordinate vector
+// into a Cursor, and Value/ValueGrad evaluate any table on the same grid
+// from it. At and Grad wrap the pair for one-off lookups.
 package table
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MaxRank is the largest table dimensionality supported.
@@ -144,123 +147,232 @@ func (t *Table) Fill(fn func(coords []float64) float64) {
 	}
 }
 
-// locate finds the interpolation cell for x on axis points: it returns the
-// lower breakpoint index i (so the cell is [i, i+1]) and the fractional
-// position frac in [0,1]. Coordinates outside the span clamp to the edges.
-func locate(points []float64, x float64) (int, float64) {
-	n := len(points)
-	if n == 1 {
-		return 0, 0
+// Cursor is a located interpolation cell: the flat offsets of the 2^rank
+// cell corners, their multilinear weights, and (filled on the first
+// ValueGrad after a Seek) each axis's partial weights. Tables on one grid
+// share the cell geometry, so one Seek serves every table whose axes are
+// bit-identical to the seeked table's (see SameGrid), and Value/ValueGrad
+// then cost one pass over the corners each.
+//
+// A Cursor is caller-owned scratch: it is not safe for concurrent use,
+// and it is large (a few KB), so hot loops keep one per grid and reuse it.
+type Cursor struct {
+	rank, size int // shape of the grid last seeked
+	off        [maxCorners]int
+	w          [maxCorners]float64 // corner weights
+	frac       [MaxRank]float64
+	width      [MaxRank]float64
+	clamped    [MaxRank]bool
+	// part[i][c] is corner c's weight with axis i's factor left out (the
+	// product over the other axes, in axis order), negated when c takes
+	// axis i's lower breakpoint. Valid when partOK.
+	part   [MaxRank][maxCorners]float64
+	partOK bool
+	samp   [maxCorners]float64 // ValueGrad's gathered corner samples
+}
+
+// maxCorners is the corner count of a MaxRank cell.
+const maxCorners = 1 << MaxRank
+
+// Seek locates coords on the table's grid into cur. The number of
+// coordinates must equal the rank.
+//
+// Each axis finds the breakpoint pair bracketing its coordinate and the
+// fractional position between them. Coordinates outside the span clamp to
+// the edges, and a single-point axis is constant. A NaN coordinate
+// poisons the cursor: every weight is NaN, so Value and every gradient
+// entry come out NaN instead of the lookup indexing out of range.
+//
+// Corner c takes the upper breakpoint on axis i when bit i of c is set.
+// Its weight is the product of the per-axis factors (frac or 1−frac)
+// multiplied in axis order, built as a tree that extends every prefix
+// product by one axis at a time. The tree performs exactly the
+// multiplications of a per-corner loop, in the same order, so every
+// weight is bit-identical to it at a fraction of the work.
+func (t *Table) Seek(cur *Cursor, coords []float64) {
+	rank := len(t.Axes)
+	if len(coords) != rank {
+		panic(fmt.Sprintf("table: %d coords for rank-%d table", len(coords), rank))
 	}
-	if x <= points[0] {
-		return 0, 0
+	cur.rank, cur.size, cur.partOK = rank, len(t.Data), false
+	base := 0
+	nan := false
+	for i, x := range coords {
+		pts := t.Axes[i].Points
+		n := len(pts)
+		lo, frac, width, clamped := 0, 0.0, 1.0, true
+		switch {
+		case x != x:
+			nan = true
+		case n == 1:
+		case x <= pts[0]:
+		case x >= pts[n-1]:
+			lo, frac = n-2, 1
+		default:
+			// Largest lo with pts[lo] <= x; pts[0] < x < pts[n-1].
+			hi := n - 1
+			for hi-lo > 1 {
+				mid := int(uint(lo+hi) >> 1)
+				if pts[mid] <= x {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			frac = (x - pts[lo]) / (pts[lo+1] - pts[lo])
+			clamped = false
+		}
+		if n > 1 {
+			width = pts[lo+1] - pts[lo]
+		}
+		cur.frac[i], cur.width[i], cur.clamped[i] = frac, width, clamped
+		base += lo * t.strides[i]
 	}
-	if x >= points[n-1] {
-		return n - 2, 1
+	if nan {
+		for i := 0; i < rank; i++ {
+			cur.frac[i] = math.NaN()
+			cur.clamped[i] = false
+		}
 	}
-	// points[i] <= x < points[i+1]
-	i := sort.SearchFloat64s(points, x)
-	if points[i] > x {
-		i--
+	w, off := cur.w[:], cur.off[:]
+	w[0], off[0] = 1, base
+	for i, m := 0, 1; i < rank; i, m = i+1, m<<1 {
+		f, g := cur.frac[i], 1-cur.frac[i]
+		step := t.strides[i]
+		if len(t.Axes[i].Points) == 1 {
+			step = 0
+		}
+		for k := 0; k < m; k++ {
+			v := w[k]
+			w[k] = v * g
+			w[k+m] = v * f
+			off[k+m] = off[k] + step
+		}
 	}
-	if i >= n-1 {
-		i = n - 2
+}
+
+// fillPartials computes part[i] for every unclamped axis i by the same
+// prefix tree as Seek's weights, with axis i's level splitting each
+// product into its negation (lower corner) and itself (upper corner)
+// instead of multiplying. Negation is exact, so a signed partial times a
+// sample over the width is bit-for-bit the negated unsigned term, and
+// adding it equals subtracting the unsigned one.
+func (cur *Cursor) fillPartials() {
+	for i := 0; i < cur.rank; i++ {
+		if cur.clamped[i] {
+			continue
+		}
+		p := cur.part[i][:]
+		p[0] = 1
+		for j, m := 0, 1; j < cur.rank; j, m = j+1, m<<1 {
+			if j == i {
+				for k := 0; k < m; k++ {
+					p[k+m] = p[k]
+					p[k] = -p[k]
+				}
+				continue
+			}
+			f, g := cur.frac[j], 1-cur.frac[j]
+			for k := 0; k < m; k++ {
+				v := p[k]
+				p[k] = v * g
+				p[k+m] = v * f
+			}
+		}
 	}
-	frac := (x - points[i]) / (points[i+1] - points[i])
-	return i, frac
+	cur.partOK = true
+}
+
+// check panics unless cur was seeked on a grid of t's shape.
+func (t *Table) check(cur *Cursor) {
+	if cur.rank != len(t.Axes) || cur.size != len(t.Data) {
+		panic(fmt.Sprintf("table: cursor of a rank-%d, %d-sample grid used on a rank-%d, %d-sample table",
+			cur.rank, cur.size, len(t.Axes), len(t.Data)))
+	}
+}
+
+// Value evaluates the table at the cursor's point with clamped
+// multilinear interpolation. cur must have been seeked on a table with the
+// same grid (SameGrid).
+func (t *Table) Value(cur *Cursor) float64 {
+	t.check(cur)
+	n := 1 << cur.rank
+	d, w := t.Data, cur.w[:n]
+	var v float64
+	for c, o := range cur.off[:n] {
+		v += w[c] * d[o]
+	}
+	return v
+}
+
+// ValueGrad is Value plus the gradient with respect to each coordinate,
+// written into grad[:rank]. Inside a cell the gradient is the exact
+// derivative of the multilinear interpolant; along a clamped axis it is
+// zero (the interpolant is constant beyond the span), which is how the
+// Newton solver should see a saturated table. Per axis the signed corner
+// terms (partial weight × sample) / cell width accumulate in corner order.
+func (t *Table) ValueGrad(cur *Cursor, grad []float64) float64 {
+	t.check(cur)
+	if !cur.partOK {
+		cur.fillPartials()
+	}
+	grad = grad[:cur.rank]
+	n := 1 << cur.rank
+	d, w, samp := t.Data, cur.w[:n], cur.samp[:n]
+	var v float64
+	for c, o := range cur.off[:n] {
+		samp[c] = d[o]
+		v += w[c] * samp[c]
+	}
+	for i := range grad {
+		var g float64
+		if !cur.clamped[i] {
+			width := cur.width[i]
+			for c, p := range cur.part[i][:n] {
+				g += p * samp[c] / width
+			}
+		}
+		grad[i] = g
+	}
+	return v
 }
 
 // At evaluates the table at the given coordinates with clamped multilinear
 // interpolation. The number of coordinates must equal the rank.
 func (t *Table) At(coords ...float64) float64 {
-	v, _ := t.eval(coords, false)
-	return v
+	var cur Cursor
+	t.Seek(&cur, coords)
+	return t.Value(&cur)
 }
 
-// Grad evaluates the table and its gradient with respect to each coordinate
-// at the given point. Inside a cell the gradient is the exact derivative of
-// the multilinear interpolant; at clamped coordinates the corresponding
-// partial derivative is zero (the interpolant is constant beyond the span),
-// matching how the Newton solver should see a saturated table.
+// Grad evaluates the table and its gradient (see ValueGrad) at the given
+// point. It allocates the gradient; hot loops use Seek and ValueGrad with
+// a reused cursor and buffer instead.
 func (t *Table) Grad(coords ...float64) (float64, []float64) {
-	return t.eval(coords, true)
+	var cur Cursor
+	t.Seek(&cur, coords)
+	grad := make([]float64, len(coords))
+	return t.ValueGrad(&cur, grad), grad
 }
 
-// eval performs multilinear interpolation over the 2^rank cell corners.
-func (t *Table) eval(coords []float64, wantGrad bool) (float64, []float64) {
-	rank := t.Rank()
-	if len(coords) != rank {
-		panic(fmt.Sprintf("table: %d coords for rank-%d table", len(coords), rank))
+// SameGrid reports whether a and b have bit-identical axis breakpoints,
+// so that a Cursor seeked on one evaluates the other.
+func SameGrid(a, b *Table) bool {
+	if len(a.Axes) != len(b.Axes) {
+		return false
 	}
-	var lo [MaxRank]int
-	var frac [MaxRank]float64
-	var width [MaxRank]float64
-	var clamped [MaxRank]bool
-	for i := 0; i < rank; i++ {
-		pts := t.Axes[i].Points
-		li, f := locate(pts, coords[i])
-		lo[i] = li
-		frac[i] = f
-		if len(pts) > 1 {
-			width[i] = pts[li+1] - pts[li]
-		} else {
-			width[i] = 1
+	for i := range a.Axes {
+		pa, pb := a.Axes[i].Points, b.Axes[i].Points
+		if len(pa) != len(pb) {
+			return false
 		}
-		clamped[i] = len(pts) == 1 ||
-			(coords[i] <= pts[0]) || (coords[i] >= pts[len(pts)-1])
-	}
-	var value float64
-	var grad []float64
-	if wantGrad {
-		grad = make([]float64, rank)
-	}
-	corners := 1 << rank
-	for c := 0; c < corners; c++ {
-		// Weight for this corner and the flat index.
-		w := 1.0
-		off := 0
-		for i := 0; i < rank; i++ {
-			bit := (c >> i) & 1
-			k := lo[i]
-			if len(t.Axes[i].Points) > 1 {
-				k += bit
-			}
-			off += k * t.strides[i]
-			if bit == 1 {
-				w *= frac[i]
-			} else {
-				w *= 1 - frac[i]
-			}
-		}
-		d := t.Data[off]
-		value += w * d
-		if wantGrad {
-			for i := 0; i < rank; i++ {
-				if clamped[i] {
-					continue
-				}
-				// d/dx_i of the corner weight: product of the other factors
-				// times ±1/width_i.
-				wi := 1.0
-				for j := 0; j < rank; j++ {
-					if j == i {
-						continue
-					}
-					if (c>>j)&1 == 1 {
-						wi *= frac[j]
-					} else {
-						wi *= 1 - frac[j]
-					}
-				}
-				if (c>>i)&1 == 1 {
-					grad[i] += wi * d / width[i]
-				} else {
-					grad[i] -= wi * d / width[i]
-				}
+		for k := range pa {
+			if math.Float64bits(pa[k]) != math.Float64bits(pb[k]) {
+				return false
 			}
 		}
 	}
-	return value, grad
+	return true
 }
 
 // At1 is a convenience accessor for rank-1 tables.
