@@ -517,6 +517,70 @@ func TestGoldenServeEco(t *testing.T) {
 	}
 }
 
+// TestGoldenServeEcoHybrid pins the ECO flow on a hybrid session: the
+// committed session request builds the c432 150 ps hybrid graph, and the
+// committed batch swaps a CSM-refined stage (gn21) to its X2 variant,
+// loads its output, and swaps an NLDM-routed fan-in driver (gn11) to X2.
+// The delta reply (c432_hybrid_eco_reply.json) must match byte-for-byte at
+// every worker-pool width. CI's smoke job replays the same fixtures
+// against a real mcsm-serve process.
+func TestGoldenServeEcoHybrid(t *testing.T) {
+	bench, err := os.ReadFile("internal/netlist/testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessBody := marshalRequest(t, service.SessionRequest{
+		Session: "golden-c432-hybrid",
+		STARequest: service.STARequest{
+			Name:    "c432",
+			Netlist: string(bench),
+			Format:  "bench",
+			Config:  "coarse",
+			Dt:      "4p",
+			Horizon: "2.6n",
+			Backend: "hybrid",
+			Margin:  "150p",
+		},
+	})
+	testutil.Golden(t, filepath.Join(goldenDir, "c432_hybrid_eco_session.json"), sessBody)
+
+	ecoBody := marshalRequest(t, service.EcoRequest{
+		Session: "golden-c432-hybrid",
+		Edits: []graph.Edit{
+			{Op: "swap_cell", Inst: "gn21", Type: "NOR2_X2"},
+			{Op: "set_load", Net: "n21", Cap: "3f"},
+			{Op: "swap_cell", Inst: "gn11", Type: "INV_X2"},
+		},
+	})
+	testutil.Golden(t, filepath.Join(goldenDir, "c432_hybrid_eco_request.json"), ecoBody)
+
+	for _, workers := range []int{1, 4} {
+		srv := service.NewWithEngine(service.Config{}, engine.New(workers, goldenEngine().Cache()))
+		ts := httptest.NewServer(srv.Handler())
+		status, body := goldenPost(t, ts.URL+"/v1/session", sessBody)
+		if status != http.StatusOK {
+			t.Fatalf("workers=%d: session status %d: %s", workers, status, body)
+		}
+		status, reply := goldenPost(t, ts.URL+"/v1/eco", ecoBody)
+		ts.Close()
+		srv.Close()
+		if status != http.StatusOK {
+			t.Fatalf("workers=%d: eco status %d: %s", workers, status, reply)
+		}
+		if workers == 1 {
+			testutil.Golden(t, filepath.Join(goldenDir, "c432_hybrid_eco_reply.json"), reply)
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join(goldenDir, "c432_hybrid_eco_reply.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply, want) {
+			t.Errorf("workers=%d: hybrid eco delta drifted from the fixture", workers)
+		}
+	}
+}
+
 // goldenMCTrials is the pinned Monte-Carlo trial budget of the MC
 // fixtures: enough draws for a non-degenerate distribution (spread,
 // distinct percentiles, a populated histogram), small enough that the

@@ -7,7 +7,7 @@
 // their config surfaces, so a parsing fix lands in every binary at once.
 //
 // Parsing here is bit-exactness-preserving: SI suffixes are applied
-// textually (via sweep.ParseSI), so "2.6n" yields the correctly-rounded
+// textually (via units.ParseSI), so "2.6n" yields the correctly-rounded
 // float64 of 2.6e-9 — the same bits a Go literal or a JSON number gives —
 // which is what lets the service's golden contract extend to values that
 // arrived as flags.
@@ -32,7 +32,7 @@ import (
 	"mcsm/internal/mc"
 	"mcsm/internal/netlist"
 	"mcsm/internal/sta"
-	"mcsm/internal/sweep"
+	"mcsm/internal/units"
 	"mcsm/internal/wave"
 )
 
@@ -42,7 +42,7 @@ const DefaultSlew = 80e-12
 
 // ParseSI reads a float with an optional engineering suffix (f/p/n/u),
 // applied textually so suffixed values get the correctly-rounded float.
-func ParseSI(s string) (float64, error) { return sweep.ParseSI(s) }
+func ParseSI(s string) (float64, error) { return units.ParseSI(s) }
 
 // ParseDt resolves an optional -dt style spec: empty selects the engine
 // default (0 → 1 ps downstream), anything else must parse as an SI time.
@@ -365,66 +365,34 @@ func BuildGraph(eng *engine.Engine, tech cells.Tech, wl *Workload, cfg csm.Confi
 }
 
 // BuildGraphCtx is BuildGraph with cooperative cancellation for the
-// initial propagation and the cold-analysis stats exposed — the one
-// graph-construction path the CLIs and the service's session endpoint
-// share, so model resolution cannot silently diverge between them.
+// initial propagation and its stats exposed: BuildBackendGraphCtx under
+// the csm backend.
 func BuildGraphCtx(ctx context.Context, eng *engine.Engine, tech cells.Tech, wl *Workload, cfg csm.Config, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, graph.Stats, error) {
-	models, err := eng.ModelsFor(tech, wl.NL, cfg)
-	if err != nil {
-		return nil, graph.Stats{}, err
-	}
-	g, err := graph.Build(wl.NL, models, primary, opt, graph.Config{
+	g, _, stats, err := BuildBackendGraphCtx(ctx, eng, tech, wl,
+		engine.BackendSpec{Kind: engine.BackendCSM, Tech: tech, CSM: cfg}, primary, opt)
+	return g, stats, err
+}
+
+// BuildBackendGraphCtx builds and propagates the retained timing graph of
+// a workload under any delay backend (engine.BackendGraph) — the one
+// graph-construction path the CLIs and the service's session endpoint
+// share, so model resolution cannot silently diverge between them. The
+// graph edits a private clone of the netlist. Its eval hook retains the
+// plan, so ECO edits keep the session's backend; cell types SwapCell
+// introduces later characterize on demand — CSM through the engine's
+// model cache, NLDM through the evaluator fallback inside the plan.
+func BuildBackendGraphCtx(ctx context.Context, eng *engine.Engine, tech cells.Tech, wl *Workload, spec engine.BackendSpec, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, *engine.BackendPlan, graph.Stats, error) {
+	plan, g, stats, err := eng.BackendGraph(ctx, spec, wl.NL, primary, opt, graph.Config{
 		Workers: eng.Workers(),
 		ModelFor: func(cellType string) (*csm.Model, error) {
-			spec, err := cells.Get(cellType)
+			cs, err := cells.Get(cellType)
 			if err != nil {
 				return nil, err
 			}
-			return eng.Cache().Get(tech, spec, engine.KindFor(spec), cfg)
+			return eng.Cache().Get(tech, cs, engine.KindFor(cs), spec.CSM)
 		},
 	})
-	if err != nil {
-		return nil, graph.Stats{}, err
-	}
-	stats, err := g.Propagate(ctx)
-	if err != nil {
-		return nil, graph.Stats{}, err
-	}
-	return g, stats, nil
-}
-
-// BuildBackendGraphCtx is BuildGraphCtx under an arbitrary delay backend:
-// the resolved plan's eval hook and (possibly partial) model set drive
-// the graph. The plan is retained by the graph's eval closure, so ECO
-// edits on the returned graph keep the session's backend; cell types
-// SwapCell introduces later characterize on demand — CSM through the
-// engine's model cache, NLDM through the evaluator fallback inside the
-// plan. The csm kind routes through BuildGraphCtx unchanged.
-func BuildBackendGraphCtx(ctx context.Context, eng *engine.Engine, tech cells.Tech, wl *Workload, spec engine.BackendSpec, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, *engine.BackendPlan, graph.Stats, error) {
-	plan, err := eng.PlanBackend(ctx, spec, wl.NL, primary, opt)
-	if err != nil {
-		return nil, nil, graph.Stats{}, err
-	}
-	if plan.Kind == engine.BackendCSM {
-		g, stats, err := BuildGraphCtx(ctx, eng, tech, wl, spec.CSM, primary, opt)
-		return g, plan, stats, err
-	}
-	cfg := plan.GraphConfig(eng.Workers(), func(cellType string) (*csm.Model, error) {
-		cs, err := cells.Get(cellType)
-		if err != nil {
-			return nil, err
-		}
-		return eng.Cache().Get(tech, cs, engine.KindFor(cs), spec.CSM)
-	})
-	g, err := graph.Build(wl.NL, plan.Models, primary, opt, cfg)
-	if err != nil {
-		return nil, nil, graph.Stats{}, err
-	}
-	stats, err := g.Propagate(ctx)
-	if err != nil {
-		return nil, nil, graph.Stats{}, err
-	}
-	return g, plan, stats, nil
+	return g, plan, stats, err
 }
 
 // FmtCounts renders a cell-count map deterministically ("[INV:3 NAND2:7]").

@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 
 	"mcsm/internal/cells"
@@ -20,9 +20,11 @@ import (
 // CSM waveform path (accurate, expensive), the NLDM table path (cheap,
 // shape-blind), and the hybrid strategy of the Ferdowsi et al. follow-up
 // work — a table pass over the whole circuit, slack classification, and
-// CSM re-evaluation of only the near-critical stages. The CSM backend is
-// the default and routes through exactly the code path it always did, so
-// its reports stay byte-identical to the golden corpus.
+// CSM refinement of only the near-critical stages, in place on the graph
+// the table pass propagated. Every backend runs through one path,
+// BackendGraph: graph.Build plus Propagate under the plan's eval hook.
+// The CSM plan's hook is the default stage evaluator, so its reports stay
+// byte-identical to the golden corpus.
 
 // BackendKind names a delay calculator.
 type BackendKind string
@@ -121,83 +123,103 @@ type BackendResult struct {
 
 // PlanBackend resolves a backend spec against a netlist: characterizes
 // (or accepts preloaded) tables and models, and — for the hybrid kind —
-// runs the whole-circuit NLDM pass, classifies stages by slack against
-// the margin, and assigns each stage its calculator.
+// propagates the whole circuit under the table calculator, classifies
+// stages by slack against the margin, and assigns each stage its
+// calculator. It returns the plan BackendGraph realizes and drops the
+// table pass's graph.
 func (e *Engine) PlanBackend(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*BackendPlan, error) {
-	kind := spec.Kind
-	if kind == "" {
-		kind = BackendCSM
-	}
-	switch kind {
-	case BackendCSM:
-		models, err := e.ModelsForCtx(ctx, spec.Tech, nl, spec.CSM)
-		if err != nil {
-			return nil, err
-		}
-		assign := make([]BackendKind, len(nl.Instances))
-		for i := range assign {
-			assign[i] = BackendCSM
-		}
-		return &BackendPlan{Kind: kind, Models: models, Assign: assign, CSMStages: len(assign)}, nil
-
-	case BackendNLDM:
-		ev, err := e.evaluatorFor(spec, nl)
-		if err != nil {
-			return nil, err
-		}
-		assign := make([]BackendKind, len(nl.Instances))
-		for i := range assign {
-			assign[i] = BackendNLDM
-		}
-		return &BackendPlan{
-			Kind: kind, Vdd: ev.Vdd(), Eval: nldmEval(ev),
-			Assign: assign, NLDMStages: len(assign),
-		}, nil
-
-	case BackendHybrid:
-		return e.planHybrid(ctx, spec, nl, primary, opt)
-	}
-	return nil, fmt.Errorf("engine: unknown backend %q", kind)
+	plan, _, err := e.plan(ctx, spec, nl, primary, opt, graph.Config{Workers: e.workers, ShareNetlist: true})
+	return plan, err
 }
 
-// planHybrid: NLDM everywhere → slack classification → CSM models for the
-// near-critical stages only → a per-index routing hook.
-func (e *Engine) planHybrid(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*BackendPlan, error) {
+// plan resolves a spec. For the hybrid kind it also returns the graph the
+// table pass propagated (built with cfg) flipped to the plan; the other
+// kinds return no graph.
+func (e *Engine) plan(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options, cfg graph.Config) (*BackendPlan, *graph.TimingGraph, error) {
+	switch spec.Kind {
+	case "", BackendCSM:
+		models, err := e.ModelsForCtx(ctx, spec.Tech, nl, spec.CSM)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &BackendPlan{Kind: BackendCSM, Models: models,
+			Assign: assignAll(nl, BackendCSM), CSMStages: len(nl.Instances)}, nil, nil
+
+	case BackendNLDM:
+		ev, err := e.evaluatorFor(ctx, spec, nl)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &BackendPlan{Kind: BackendNLDM, Vdd: ev.Vdd(), Eval: nldmEval(ev),
+			Assign: assignAll(nl, BackendNLDM), NLDMStages: len(nl.Instances)}, nil, nil
+
+	case BackendHybrid:
+		return e.planHybrid(ctx, spec, nl, primary, opt, cfg)
+	}
+	return nil, nil, fmt.Errorf("engine: unknown backend %q", spec.Kind)
+}
+
+// assignAll routes every stage of nl to one calculator.
+func assignAll(nl *sta.Netlist, k BackendKind) []BackendKind {
+	assign := make([]BackendKind, len(nl.Instances))
+	for i := range assign {
+		assign[i] = k
+	}
+	return assign
+}
+
+// planHybrid: one table propagation on a graph built with cfg → slacks
+// from that graph's arrivals and the candidate arcs its evaluations
+// recorded → CSM models for the near-critical stages only → a per-index
+// routing hook, installed on the graph in place. The graph comes back
+// with only the flipped stages and their cone left to propagate.
+func (e *Engine) planHybrid(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options, cfg graph.Config) (*BackendPlan, *graph.TimingGraph, error) {
 	span := obs.SpanFrom(ctx)
-	ev, err := e.evaluatorFor(spec, nl)
+	ev, err := e.evaluatorFor(ctx, spec, nl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+
+	// Only this pass records arcs: each stage writes its own slot, so the
+	// level-parallel evaluations never share one, and the published plan's
+	// hook records nothing.
+	edges := make([][]nldm.StageEdge, len(nl.Instances))
+	record := func(nlx *sta.Netlist, _ map[string]*csm.Model, idx int, waves map[string]wave.Waveform, _ csm.Load, _ float64, opt sta.Options) (wave.Waveform, int, error) {
+		out, sw, es, err := ev.EvalStageEdges(nlx, idx, waves, opt)
+		edges[idx] = es
+		return out, sw, err
 	}
 	nldmSpan := span.Start("nldm_pass")
-	res, err := ev.Analyze(nl, primary, opt)
-	if err != nil {
-		nldmSpan.End()
-		return nil, fmt.Errorf("engine: hybrid NLDM pass: %w", err)
-	}
-	slacks, err := res.Slacks(nl)
+	g, _, err := e.realize(obs.WithSpan(ctx, nldmSpan), &BackendPlan{Vdd: ev.Vdd(), Eval: record}, nil, nl, primary, opt, cfg)
 	nldmSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("engine: hybrid NLDM pass: %w", err)
+	}
+	rep := g.Report()
+	slacks, err := nldm.Slacks(nl, rep, edges)
+	if err != nil {
+		return nil, nil, err
 	}
 	margin := spec.Margin
 	if margin <= 0 {
 		// Default criticality window: 10% of the table pass's worst
 		// output arrival — near-critical in the ECO sense.
-		if w := res.WorstArrival(nl); !math.IsNaN(w) && w > 0 {
+		if _, w, ok := rep.WorstOutput(nl); ok && w > 0 {
 			margin = w / 10
 		}
 	}
 
-	assign := make([]BackendKind, len(nl.Instances))
-	csmCount := 0
+	assign := assignAll(nl, BackendNLDM)
+	var flip []int
+	var critical sta.Netlist // the near-critical stages, for model resolution
 	for i, s := range slacks {
 		if s <= margin {
 			assign[i] = BackendCSM
-			csmCount++
-		} else {
-			assign[i] = BackendNLDM
+			flip = append(flip, i)
+			critical.Instances = append(critical.Instances, nl.Instances[i])
 		}
 	}
+	csmCount := len(flip)
 
 	// Characterize CSM models only for the cell types the near-critical
 	// stages actually use.
@@ -208,36 +230,30 @@ func (e *Engine) planHybrid(ctx context.Context, spec BackendSpec, nl *sta.Netli
 	defer refineSpan.End()
 	var models map[string]*csm.Model
 	if csmCount > 0 {
-		sub := &sta.Netlist{}
-		for i := range nl.Instances {
-			if assign[i] == BackendCSM {
-				sub.Instances = append(sub.Instances, nl.Instances[i])
-			}
-		}
-		if models, err = e.ModelsForCtx(obs.WithSpan(ctx, refineSpan), spec.Tech, sub, spec.CSM); err != nil {
-			return nil, err
-		}
-		for t, m := range models {
-			if m.Vdd != ev.Vdd() {
-				return nil, fmt.Errorf("engine: hybrid: CSM model %s at %gV, NLDM tables at %gV", t, m.Vdd, ev.Vdd())
-			}
+		if models, err = e.ModelsForCtx(obs.WithSpan(ctx, refineSpan), spec.Tech, &critical, spec.CSM); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	eval := func(nlx *sta.Netlist, models map[string]*csm.Model, idx int, waves map[string]wave.Waveform, load csm.Load, vdd float64, opt sta.Options) (wave.Waveform, int, error) {
-		if assign[idx] == BackendCSM {
-			return sta.EvalStageWithLoad(nlx, models, idx, waves, load, vdd, opt)
-		}
-		return ev.EvalStage(nlx, idx, waves, opt)
-	}
-	return &BackendPlan{
-		Kind: BackendHybrid, Margin: margin,
-		Models: models, Vdd: ev.Vdd(), Eval: eval,
+	plan := &BackendPlan{
+		Kind: BackendHybrid, Margin: margin, Models: models, Vdd: ev.Vdd(),
+		Eval: func(nlx *sta.Netlist, models map[string]*csm.Model, idx int, waves map[string]wave.Waveform, load csm.Load, vdd float64, opt sta.Options) (wave.Waveform, int, error) {
+			if assign[idx] == BackendCSM {
+				return sta.EvalStageWithLoad(nlx, models, idx, waves, load, vdd, opt)
+			}
+			return ev.EvalStage(nlx, idx, waves, opt)
+		},
 		Assign: assign, CSMStages: csmCount, NLDMStages: len(assign) - csmCount,
-	}, nil
+	}
+	// Refine in place: the near-critical stages flip to CSM on the graph
+	// the table pass left (SetBackend also holds the models to its rail).
+	if err := g.SetBackend(plan.Eval, models, flip); err != nil {
+		return nil, nil, fmt.Errorf("engine: hybrid: %w", err)
+	}
+	return plan, g, nil
 }
 
 // nldmEval adapts an evaluator to the graph's hook signature: the CSM
@@ -252,12 +268,12 @@ func nldmEval(ev *nldm.Evaluator) graph.EvalFunc {
 // evaluatorFor builds the NLDM evaluator for a spec: preloaded tables
 // first, the characterization cache for everything else (including cell
 // types ECO swaps introduce later).
-func (e *Engine) evaluatorFor(spec BackendSpec, nl *sta.Netlist) (*nldm.Evaluator, error) {
+func (e *Engine) evaluatorFor(ctx context.Context, spec BackendSpec, nl *sta.Netlist) (*nldm.Evaluator, error) {
 	cfg := spec.NLDM
 	if len(cfg.Slews) == 0 {
 		cfg = nldm.DefaultConfig(spec.Tech)
 	}
-	libs, err := e.NLDMFor(spec.Tech, nl, cfg, spec.Tables)
+	libs, err := e.nldmForCtx(ctx, spec.Tech, nl, cfg, spec.Tables)
 	if err != nil {
 		return nil, err
 	}
@@ -265,43 +281,64 @@ func (e *Engine) evaluatorFor(spec BackendSpec, nl *sta.Netlist) (*nldm.Evaluato
 		if lib, ok := spec.Tables[cellType]; ok {
 			return lib, nil
 		}
-		return e.nldmGet(spec.Tech, cellType, cfg)
+		lib, _, err := e.nldmGet(spec.Tech, cellType, cfg)
+		return lib, err
 	})
 }
 
-// AnalyzeBackend runs one full analysis under the chosen backend. The
-// CSM kind routes through the identical graph build as AnalyzeCtx, so
-// its reports are byte-for-byte the historical ones at any worker count.
-func (e *Engine) AnalyzeBackend(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*BackendResult, error) {
-	span := obs.SpanFrom(ctx)
-	planSpan := span.Start("plan")
-	if spec.Kind == "" {
-		planSpan.Label("backend", string(BackendCSM))
-	} else {
-		planSpan.Label("backend", string(spec.Kind))
-	}
-	plan, err := e.PlanBackend(obs.WithSpan(ctx, planSpan), spec, nl, primary, opt)
+// BackendGraph is the one analysis path of every backend: it plans spec,
+// builds the graph realizing the plan with cfg (the plan supplies cfg's
+// Eval and Vdd), and propagates it. For the hybrid kind the graph is the
+// one the table pass propagated, already flipped to the plan: Propagate
+// re-evaluates only the refined stages' cone. The stats are the final
+// propagation's. Either way the graph's state is bit-identical to
+// graph.Build(nl, plan.Models, primary, opt, plan.GraphConfig(...)) plus
+// Propagate.
+func (e *Engine) BackendGraph(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options, cfg graph.Config) (*BackendPlan, *graph.TimingGraph, graph.Stats, error) {
+	planSpan := obs.SpanFrom(ctx).Start("plan")
+	planSpan.Label("backend", string(cmp.Or(spec.Kind, BackendCSM)))
+	plan, g, err := e.plan(obs.WithSpan(ctx, planSpan), spec, nl, primary, opt, cfg)
 	planSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, graph.Stats{}, err
 	}
-	cfg := plan.GraphConfig(e.workers, nil)
-	cfg.ShareNetlist = true
-	cfg.EvalHist = &e.stageHist
+	g, stats, err := e.realize(ctx, plan, g, nl, primary, opt, cfg)
+	return plan, g, stats, err
+}
+
+// realize propagates the graph of a plan under "build" and "propagate"
+// spans, building it with cfg unless the hybrid table pass supplied it.
+func (e *Engine) realize(ctx context.Context, plan *BackendPlan, g *graph.TimingGraph, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options, cfg graph.Config) (*graph.TimingGraph, graph.Stats, error) {
+	span := obs.SpanFrom(ctx)
 	buildSpan := span.Start("build")
-	g, err := graph.Build(nl, plan.Models, primary, opt, cfg)
+	var err error
+	if g == nil {
+		cfg.Eval, cfg.Vdd = plan.Eval, plan.Vdd
+		g, err = graph.Build(nl, plan.Models, primary, opt, cfg)
+	}
 	buildSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, graph.Stats{}, err
 	}
 	propSpan := span.Start("propagate")
+	defer propSpan.End()
 	stats, err := g.Propagate(obs.WithSpan(ctx, propSpan))
 	if err != nil {
-		propSpan.End()
-		return nil, err
+		return nil, graph.Stats{}, err
 	}
 	propSpan.LabelInt("evaluated", int64(stats.StagesEvaluated))
-	propSpan.End()
+	return g, stats, nil
+}
+
+// AnalyzeBackend runs one full analysis under the chosen backend through
+// BackendGraph on a graph that shares nl. The CSM kind builds the
+// identical graph as AnalyzeCtx, so its reports are byte-for-byte the
+// historical ones at any worker count.
+func (e *Engine) AnalyzeBackend(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*BackendResult, error) {
+	plan, g, _, err := e.BackendGraph(ctx, spec, nl, primary, opt, e.oneShot())
+	if err != nil {
+		return nil, err
+	}
 	e.stageEvals.Add(g.StageEvals())
 	return &BackendResult{Plan: plan, Report: g.Report(), Graph: g}, nil
 }
@@ -333,11 +370,13 @@ func nldmKey(tech cells.Tech, spec cells.Spec, cfg nldm.Config) string {
 		cfg)
 }
 
-// nldmGet characterizes (at most once) the NLDM library of a cell type.
-func (e *Engine) nldmGet(tech cells.Tech, cellType string, cfg nldm.Config) (*nldm.Library, error) {
+// nldmGet characterizes (at most once) the NLDM library of a cell type,
+// reporting how the lookup was satisfied: OutcomeHit (including joins on
+// an in-flight characterization) or OutcomeCharacterized.
+func (e *Engine) nldmGet(tech cells.Tech, cellType string, cfg nldm.Config) (*nldm.Library, Outcome, error) {
 	spec, err := cells.Get(cellType)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	c := e.nldm
 	key := nldmKey(tech, spec, cfg)
@@ -345,7 +384,7 @@ func (e *Engine) nldmGet(tech cells.Tech, cellType string, cfg nldm.Config) (*nl
 	if ent, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		<-ent.ready
-		return ent.lib, ent.err
+		return ent.lib, OutcomeHit, ent.err
 	}
 	ent := &nldmEntry{ready: make(chan struct{})}
 	c.entries[key] = ent
@@ -356,13 +395,21 @@ func (e *Engine) nldmGet(tech cells.Tech, cellType string, cfg nldm.Config) (*nl
 		ent.err = fmt.Errorf("engine: characterize %s (nldm): %w", cellType, ent.err)
 	}
 	close(ent.ready)
-	return ent.lib, ent.err
+	return ent.lib, OutcomeCharacterized, ent.err
 }
 
 // NLDMFor assembles one NLDM library per distinct cell type in the
 // netlist: preloaded tables win, everything else characterizes through
 // the engine's table cache, fanned out on the worker pool.
 func (e *Engine) NLDMFor(tech cells.Tech, nl *sta.Netlist, cfg nldm.Config, preset map[string]*nldm.Library) (map[string]*nldm.Library, error) {
+	return e.nldmForCtx(context.Background(), tech, nl, cfg, preset)
+}
+
+// nldmForCtx is NLDMFor with trace attribution, mirroring ModelsForCtx:
+// an "nldm_tables" child of the context's span records the resolution,
+// with one "nldm_table" grandchild per cell type labeled by how it was
+// satisfied (preset, hit, or characterized).
+func (e *Engine) nldmForCtx(ctx context.Context, tech cells.Tech, nl *sta.Netlist, cfg nldm.Config, preset map[string]*nldm.Library) (map[string]*nldm.Library, error) {
 	var types []string
 	seen := map[string]bool{}
 	for _, inst := range nl.Instances {
@@ -371,21 +418,26 @@ func (e *Engine) NLDMFor(tech cells.Tech, nl *sta.Netlist, cfg nldm.Config, pres
 			types = append(types, inst.Type)
 		}
 	}
+	tablesSpan := obs.SpanFrom(ctx).Start("nldm_tables")
+	defer tablesSpan.End()
 	libsArr := make([]*nldm.Library, len(types))
 	errs := make([]error, len(types))
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
 	for i, t := range types {
-		if lib, ok := preset[t]; ok {
-			libsArr[i] = lib
-			continue
-		}
 		wg.Add(1)
 		go func(i int, t string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			libsArr[i], errs[i] = e.nldmGet(tech, t, cfg)
+			sp := tablesSpan.Start("nldm_table")
+			defer sp.End()
+			sp.Label("cell", t)
+			outcome, ok := Outcome("preset"), false
+			if libsArr[i], ok = preset[t]; !ok {
+				sem <- struct{}{}
+				libsArr[i], outcome, errs[i] = e.nldmGet(tech, t, cfg)
+				<-sem
+			}
+			sp.Label("outcome", string(outcome))
 		}(i, t)
 	}
 	wg.Wait()

@@ -219,11 +219,14 @@ func TestNLDMCacheSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := nldm.DefaultConfig(testutil.Tech())
-	a, err := e.nldmGet(testutil.Tech(), "NAND2", cfg)
+	a, outcome, err := e.nldmGet(testutil.Tech(), "NAND2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.nldmGet(testutil.Tech(), "NAND2", cfg)
+	if outcome != OutcomeHit {
+		t.Errorf("lookup after a plan: outcome %q, want %q", outcome, OutcomeHit)
+	}
+	b, _, err := e.nldmGet(testutil.Tech(), "NAND2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

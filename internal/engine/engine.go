@@ -171,27 +171,20 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, nl *sta.Netlist, models map[str
 // Callers that keep the graph must treat it as immutable: Report() is a
 // pure read, but edits belong to ECO sessions, which build their own.
 func (e *Engine) AnalyzeGraphCtx(ctx context.Context, nl *sta.Netlist, models map[string]*csm.Model, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, error) {
-	// ShareNetlist: no edits ever run on this graph, so cloning the
-	// netlist would be pure overhead — and sharing keeps the netlist's
-	// memoized Levels/Fanouts warm across repeat analyses of one cached
-	// workload.
-	span := obs.SpanFrom(ctx)
-	buildSpan := span.Start("build")
-	g, err := graph.Build(nl, models, primary, opt, graph.Config{Workers: e.workers, ShareNetlist: true, EvalHist: &e.stageHist})
-	buildSpan.End()
+	g, _, err := e.realize(ctx, &BackendPlan{Models: models}, nil, nl, primary, opt, e.oneShot())
 	if err != nil {
 		return nil, err
 	}
-	propSpan := span.Start("propagate")
-	stats, err := g.Propagate(obs.WithSpan(ctx, propSpan))
-	if err != nil {
-		propSpan.End()
-		return nil, err
-	}
-	propSpan.LabelInt("evaluated", int64(stats.StagesEvaluated))
-	propSpan.End()
 	e.stageEvals.Add(g.StageEvals())
 	return g, nil
+}
+
+// oneShot configures the graph of a one-shot analysis. ShareNetlist: no
+// edits ever run on it, so cloning the netlist would be pure overhead —
+// and sharing keeps the netlist's memoized Levels/Fanouts warm across
+// repeat analyses of one cached workload.
+func (e *Engine) oneShot() graph.Config {
+	return graph.Config{Workers: e.workers, ShareNetlist: true, EvalHist: &e.stageHist}
 }
 
 // FlatReference delegates to sta.FlatReference — the flat transistor-level

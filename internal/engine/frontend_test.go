@@ -36,7 +36,7 @@ func TestSerialParallelBitExactMidSize(t *testing.T) {
 	}
 
 	tech := cells.Default130()
-	serialEng := New(1, nil)
+	serialEng := New(1, coarseCache)
 	models, err := serialEng.ModelsFor(tech, nl, testutil.CoarseConfig())
 	if err != nil {
 		t.Fatal(err)

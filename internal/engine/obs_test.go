@@ -61,3 +61,35 @@ func TestStageHistObserves(t *testing.T) {
 		t.Errorf("stage histogram grew by %d, want >= %d", got, len(nl.Instances))
 	}
 }
+
+// TestTracedNLDMTables: table resolution has its own span under plan,
+// one nldm_table child per cell type labeled by how it was satisfied —
+// characterized on a fresh engine, a hit on the next analysis.
+func TestTracedNLDMTables(t *testing.T) {
+	nl, primary, opt := testutil.C17Fixture(t)
+	e := New(0, coarseCache) // fresh NLDM tables, warm CSM models
+	spec := BackendSpec{Kind: BackendHybrid, Tech: testutil.Tech(), CSM: testutil.CoarseConfig()}
+	for _, want := range []Outcome{OutcomeCharacterized, OutcomeHit} {
+		tr := obs.New("test")
+		if _, err := e.AnalyzeBackend(obs.WithSpan(context.Background(), tr.Root()), spec, nl, primary, opt); err != nil {
+			t.Fatal(err)
+		}
+		var tables *obs.SpanNode
+		for _, c := range tr.Finish().Children {
+			if c.Name != "plan" {
+				continue
+			}
+			for _, p := range c.Children {
+				if p.Name == "nldm_tables" {
+					tables = p
+				}
+			}
+		}
+		if tables == nil || len(tables.Children) != 1 {
+			t.Fatalf("plan has no nldm_tables span with one table: %+v", tables)
+		}
+		if got := tables.Children[0]; got.Name != "nldm_table" || got.Labels["cell"] != "NAND2" || got.Labels["outcome"] != string(want) {
+			t.Errorf("table span %s %v, want NAND2 %s", got.Name, got.Labels, want)
+		}
+	}
+}

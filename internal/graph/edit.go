@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mcsm/internal/cells"
+	"mcsm/internal/csm"
 	"mcsm/internal/sta"
 	"mcsm/internal/units"
 	"mcsm/internal/wave"
@@ -45,6 +46,7 @@ func (g *TimingGraph) SwapCell(instName, newType string) error {
 	// cell data inside its evaluator at propagation time; demanding a CSM
 	// model here would force a characterization the backend never uses.
 	needModel := !g.customEval || len(g.models) > 0
+	var receivers []string
 	if _, ok := g.models[newType]; needModel && !ok {
 		if g.modelFor == nil {
 			return fmt.Errorf("graph: swap_cell %s: no model for cell type %q", instName, newType)
@@ -53,24 +55,86 @@ func (g *TimingGraph) SwapCell(instName, newType string) error {
 		if err != nil {
 			return fmt.Errorf("graph: swap_cell %s: characterize %s: %w", instName, newType, err)
 		}
-		if m.Vdd != g.vdd {
-			return fmt.Errorf("graph: swap_cell %s: model %s has Vdd %g, graph built at %g",
-				instName, newType, m.Vdd, g.vdd)
+		if receivers, err = g.addModels(map[string]*csm.Model{newType: m}); err != nil {
+			return fmt.Errorf("graph: swap_cell %s: %w", instName, err)
 		}
-		g.models[newType] = m
 	}
 
 	inst.Type = newType
 	g.edits++
 	g.dirty[idx] = true
+	// The instance's input nets see a new receiver; so do the nets feeding
+	// other instances of a newly modeled type.
 	seen := map[string]bool{}
-	for _, net := range inst.Inputs {
+	for _, net := range append(receivers, inst.Inputs...) {
 		if !seen[net] {
 			seen[net] = true
 			g.bumpLoad(net)
 		}
 	}
 	return nil
+}
+
+// SetBackend switches the graph's stage evaluator in place (nil restores
+// the CSM default) and grows its model set: the hybrid backend's
+// refinement of a table-propagated graph. The listed stages, whose
+// calculator changed, re-evaluate on the next Propagate even though their
+// inputs did not move; the cached loads the added models change are
+// dropped. Every stage left out must evaluate as before under the new hook
+// and loads (a table stage ignores the CSM load). Then the propagated
+// graph is bit-identical to a fresh Build with the new hook and models.
+// SetBackend is not an edit: the netlist and the edit count stay as they are.
+func (g *TimingGraph) SetBackend(eval EvalFunc, models map[string]*csm.Model, stages []int) error {
+	for _, idx := range stages {
+		if idx < 0 || idx >= len(g.nl.Instances) {
+			return fmt.Errorf("graph: set_backend: stage %d out of range (%d stages)", idx, len(g.nl.Instances))
+		}
+	}
+	receivers, err := g.addModels(models)
+	if err != nil {
+		return fmt.Errorf("graph: set_backend: %w", err)
+	}
+	for _, net := range receivers {
+		delete(g.loads, net)
+	}
+	g.eval, g.customEval = eval, eval != nil
+	if eval == nil {
+		g.eval = sta.EvalStageWithLoad
+	}
+	for _, idx := range stages {
+		g.lastEval[idx] = stageInputs{}
+		g.dirty[idx] = true
+	}
+	return nil
+}
+
+// addModels validates models against the graph's rail and merges them
+// into the model set (nothing merges if one fails). It returns the input
+// nets of every instance whose type it adds or replaces: the nets whose
+// stage loads gain or change a receiver.
+func (g *TimingGraph) addModels(models map[string]*csm.Model) ([]string, error) {
+	for t, m := range models {
+		if g.models[t] != m && m.Vdd != g.vdd {
+			return nil, fmt.Errorf("model %s has Vdd %g, graph built at %g", t, m.Vdd, g.vdd)
+		}
+	}
+	var nets []string
+	seen := map[string]bool{}
+	for _, inst := range g.nl.Instances {
+		if m, ok := models[inst.Type]; !ok || g.models[inst.Type] == m {
+			continue
+		}
+		for _, net := range inst.Inputs {
+			if !seen[net] {
+				seen[net] = true
+				nets = append(nets, net)
+			}
+		}
+	}
+	for t, m := range models {
+		g.models[t] = m
+	}
+	return nets, nil
 }
 
 // SetArrival replaces a primary input's waveform. A bit-identical

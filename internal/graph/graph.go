@@ -64,8 +64,8 @@ type Config struct {
 	// one-shot wrapper) — edit ops mutate the netlist in place.
 	ShareNetlist bool
 	// Eval overrides the stage evaluator (nil = sta.EvalStageWithLoad).
-	// The graph retains the hook for its lifetime, so ECO sessions keep
-	// their delay backend across every edit round.
+	// The graph retains the hook until SetBackend replaces it, so ECO
+	// sessions keep their delay backend across every edit round.
 	Eval EvalFunc
 	// Vdd supplies the rail voltage when the graph runs without CSM models
 	// (a table-only Eval hook); ignored when models are present.

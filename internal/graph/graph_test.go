@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mcsm/internal/csm"
@@ -506,4 +507,82 @@ func TestSwapCellModelFor(t *testing.T) {
 		t.Error("on-demand model missing from Models()")
 	}
 	requireMatchesCold(t, "swap via ModelFor", hooked, 1)
+}
+
+// TestSetBackend: switching the evaluator in place re-evaluates exactly
+// the listed stages, grows the model set (refreshing the loads its new
+// receivers change), and leaves the graph equal to a cold build under the
+// new evaluator; malformed switches change nothing.
+func TestSetBackend(t *testing.T) {
+	all := testutil.FastModels(t)
+	_, primary, opt := testutil.C17Fixture(t)
+	// c17 with G19 retyped NOR2: a receiver on n11 (driven by G11) that
+	// the NAND2-only model set does not see.
+	nl, err := sta.ParseNetlist(strings.NewReader(strings.Replace(sta.C17Netlist, "G19 NAND2", "G19 NOR2", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Before the switch G19 runs on a fixed load, a calculator that
+	// ignores the graph's stage load.
+	fixed := func(nlx *sta.Netlist, models map[string]*csm.Model, idx int, waves map[string]wave.Waveform, load csm.Load, vdd float64, opt sta.Options) (wave.Waveform, int, error) {
+		if nlx.Instances[idx].Type == "NOR2" {
+			return sta.EvalStageWithLoad(nlx, all, idx, waves, csm.CapLoad(2e-15), vdd, opt)
+		}
+		return sta.EvalStageWithLoad(nlx, models, idx, waves, load, vdd, opt)
+	}
+	g, err := graph.Build(nl, map[string]*csm.Model{"NAND2": all["NAND2"]}, primary, opt, graph.Config{Workers: 2, Eval: fixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Propagate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	n := len(nl.Instances)
+	if err := g.SetBackend(nil, nil, []int{n}); err == nil {
+		t.Error("accepted an out-of-range stage")
+	}
+	offRail := &csm.Model{Vdd: g.Vdd() + 0.1}
+	if err := g.SetBackend(nil, map[string]*csm.Model{"NOR2": all["NOR2"], "INV": offRail}, nil); err == nil {
+		t.Error("accepted a model off the graph's rail")
+	}
+	if len(g.Models()) != 1 || g.DirtyCount() != 0 {
+		t.Fatalf("rejected switches changed the graph: %d models, %d dirty", len(g.Models()), g.DirtyCount())
+	}
+
+	// G19 moves to the graph's own loads; G11, which reads its load, sees
+	// the new NOR2 receiver on n11. Both re-evaluate.
+	var g11, g19 int
+	for i, inst := range nl.Instances {
+		switch inst.Name {
+		case "G11":
+			g11 = i
+		case "G19":
+			g19 = i
+		}
+	}
+	if err := g.SetBackend(nil, map[string]*csm.Model{"NOR2": all["NOR2"]}, []int{g11, g19}); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := g.Propagate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StagesEvaluated < 2 || stats.StagesEvaluated == n {
+		t.Errorf("switch re-evaluated %d of %d stages", stats.StagesEvaluated, n)
+	}
+	requireMatchesCold(t, "after set_backend", g, 2)
+
+	// Switching to the evaluator already in place changes no output: the
+	// listed stages re-evaluate and converge.
+	if err := g.SetBackend(nil, nil, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	stats, err = g.Propagate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StagesEvaluated != 2 || stats.StagesConverged != 2 || len(stats.ChangedNets) != 0 {
+		t.Errorf("identity switch: %+v", stats)
+	}
 }

@@ -276,6 +276,32 @@ func TestRunNLDMBackend(t *testing.T) {
 	}
 }
 
+// TestRunHybridBackend: every trial shares one hybrid plan, whose eval
+// hook runs concurrently on many graphs; the report stays byte-identical
+// across worker counts (and, under -race, the shared hook is race-clean).
+func TestRunHybridBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MC trials in short mode")
+	}
+	var ref []byte
+	for _, w := range []int{1, 4} {
+		cfg := c17Config(8)
+		cfg.Backend.Kind = engine.BackendHybrid
+		res, body := runC17(t, w, cfg)
+		if res.Backend != engine.BackendHybrid {
+			t.Fatalf("backend %s", res.Backend)
+		}
+		if res.Worst.Switched != 8 || !(res.Worst.Sigma > 0) {
+			t.Errorf("hybrid worst %+v", res.Worst)
+		}
+		if ref == nil {
+			ref = body
+		} else if !bytes.Equal(ref, body) {
+			t.Errorf("hybrid report differs at workers=%d", w)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	nl, primary, opt := testutil.C17Fixture(t)
 	r := New(engine.New(1, sharedCache))

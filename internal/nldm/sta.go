@@ -132,7 +132,7 @@ func (ev *Evaluator) StageLoadCap(nl *sta.Netlist, net string) (float64, error) 
 // StageEdge is one candidate timing arc evaluated at a stage: the delay
 // predicted from the named input net's 50% crossing to the output's. The
 // hybrid backend's slack classification propagates required times
-// backward over these edges.
+// backward over these edges (Slacks).
 type StageEdge struct {
 	Net   string
 	Delay float64
@@ -143,11 +143,14 @@ type StageEdge struct {
 // count — the same contract as sta.EvalStageWithLoad, so the timing graph
 // can route stages to either calculator.
 func (ev *Evaluator) EvalStage(nl *sta.Netlist, idx int, waves map[string]wave.Waveform, opt sta.Options) (wave.Waveform, int, error) {
-	outW, sw, _, err := ev.evalStageDetail(nl, idx, waves, opt)
+	outW, sw, _, err := ev.EvalStageEdges(nl, idx, waves, opt)
 	return outW, sw, err
 }
 
-func (ev *Evaluator) evalStageDetail(nl *sta.Netlist, idx int, waves map[string]wave.Waveform, opt sta.Options) (wave.Waveform, int, []StageEdge, error) {
+// EvalStageEdges is EvalStage plus the candidate arcs the stage weighed
+// (nil when its output does not transition): the per-stage record a
+// propagation collects for Slacks.
+func (ev *Evaluator) EvalStageEdges(nl *sta.Netlist, idx int, waves map[string]wave.Waveform, opt sta.Options) (wave.Waveform, int, []StageEdge, error) {
 	inst := nl.Instances[idx]
 	lib, err := ev.lib(inst.Type)
 	if err != nil {
@@ -301,81 +304,32 @@ func staticOutputLevel(cellType string, in []bool) (bool, error) {
 	return false, fmt.Errorf("no boolean function for cell type %q with %d inputs", cellType, len(in))
 }
 
-// Result is a whole-netlist NLDM analysis: the standard report plus the
-// per-stage candidate arc delays the hybrid backend's slack
-// classification consumes.
-type Result struct {
-	Report    *sta.Report
-	Vdd       float64
-	Edges     [][]StageEdge // indexed like nl.Instances
-	Switching []int
-}
-
-// Analyze runs the serial level-order NLDM pass over a netlist. The
-// returned report has the same shape as the CSM path's (arrivals, slews,
-// MIS list) so downstream consumers cannot tell the calculators apart
-// structurally — only by their numbers.
-func (ev *Evaluator) Analyze(nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*Result, error) {
-	order, err := nl.Levelize()
-	if err != nil {
-		return nil, err
-	}
-	if ev.vdd == 0 {
-		return nil, fmt.Errorf("nldm: evaluator has no libraries")
-	}
-	opt = sta.ResolveOptions(primary, opt)
-	waves := make(map[string]wave.Waveform, len(nl.Instances)+len(primary))
-	for net, w := range primary {
-		waves[net] = w
-	}
-	res := &Result{
-		Vdd:       ev.vdd,
-		Edges:     make([][]StageEdge, len(nl.Instances)),
-		Switching: make([]int, len(nl.Instances)),
-	}
-	var mis []string
-	for _, idx := range order {
-		outW, sw, edges, err := ev.evalStageDetail(nl, idx, waves, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.Edges[idx] = edges
-		res.Switching[idx] = sw
-		if sw >= 2 {
-			mis = append(mis, nl.Instances[idx].Name)
-		}
-		waves[nl.Instances[idx].Output] = outW
-	}
-	res.Report = sta.BuildReport(ev.vdd, waves, mis)
-	return res, nil
-}
-
-// Slacks computes each instance's output slack against the worst primary
-// output arrival of this analysis: required times propagate backward over
-// the candidate arc delays; slack = required(output) − arrival(output).
-// Stages whose outputs never switch (or that reach no primary output)
-// carry +Inf slack — a CSM re-evaluation cannot change the answer there.
-func (r *Result) Slacks(nl *sta.Netlist) ([]float64, error) {
+// Slacks computes each instance's output slack from a propagated table
+// analysis: rep holds its arrivals and edges[i] the candidate arcs stage i
+// weighed (EvalStageEdges). Required times start at the worst primary
+// output arrival and propagate backward over the arc delays; slack =
+// required(output) − arrival(output). Stages whose outputs never switch
+// (or that reach no primary output) carry +Inf slack — a CSM
+// re-evaluation cannot change the answer there.
+func Slacks(nl *sta.Netlist, rep *sta.Report, edges [][]StageEdge) ([]float64, error) {
 	levels, err := nl.Levels()
 	if err != nil {
 		return nil, err
 	}
+	if len(edges) != len(nl.Instances) {
+		return nil, fmt.Errorf("nldm: slacks: %d edge records for %d instances", len(edges), len(nl.Instances))
+	}
 	arrival := func(net string) float64 {
-		if nr, ok := r.Report.Nets[net]; ok {
+		if nr, ok := rep.Nets[net]; ok {
 			return nr.Arrival
 		}
 		return math.NaN()
 	}
 	// Tmax: the latest primary-output arrival (fallback: latest net
 	// anywhere, for netlists without declared outputs).
-	tmax := math.Inf(-1)
-	for _, po := range nl.PrimaryOut {
-		if a := arrival(po); !math.IsNaN(a) && a > tmax {
-			tmax = a
-		}
-	}
-	if math.IsInf(tmax, -1) {
-		for _, nr := range r.Report.Nets {
+	_, tmax, ok := rep.WorstOutput(nl)
+	if !ok {
+		for _, nr := range rep.Nets {
 			if !math.IsNaN(nr.Arrival) && nr.Arrival > tmax {
 				tmax = nr.Arrival
 			}
@@ -406,7 +360,7 @@ func (r *Result) Slacks(nl *sta.Netlist) ([]float64, error) {
 			if math.IsInf(ro, 1) {
 				continue
 			}
-			for _, e := range r.Edges[idx] {
+			for _, e := range edges[idx] {
 				if v := ro - e.Delay; v < reqOf(e.Net) {
 					req[e.Net] = v
 				}
@@ -414,18 +368,4 @@ func (r *Result) Slacks(nl *sta.Netlist) ([]float64, error) {
 		}
 	}
 	return slacks, nil
-}
-
-// WorstArrival returns the latest primary-output arrival of the result
-// (NaN when no output switches).
-func (r *Result) WorstArrival(nl *sta.Netlist) float64 {
-	worst := math.NaN()
-	for _, po := range nl.PrimaryOut {
-		if nr, ok := r.Report.Nets[po]; ok && !math.IsNaN(nr.Arrival) {
-			if math.IsNaN(worst) || nr.Arrival > worst {
-				worst = nr.Arrival
-			}
-		}
-	}
-	return worst
 }

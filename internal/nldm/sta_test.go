@@ -1,12 +1,15 @@
 package nldm_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"mcsm/internal/cells"
+	"mcsm/internal/csm"
+	"mcsm/internal/graph"
 	"mcsm/internal/nldm"
 	"mcsm/internal/sta"
 	"mcsm/internal/testutil"
@@ -45,21 +48,41 @@ func c17Evaluator(t *testing.T) *nldm.Evaluator {
 	return ev
 }
 
-// TestAnalyzeC17VsCSM: the NLDM pass over c17 must land near the CSM
-// reference — same switching nets, arrivals within table-model error.
-func TestAnalyzeC17VsCSM(t *testing.T) {
-	nl, primary, opt := testutil.C17Fixture(t)
-	ev := c17Evaluator(t)
-	res, err := ev.Analyze(nl, primary, opt)
+// tablePass propagates nl under the table calculator on a timing graph,
+// recording every stage's candidate arcs — the hybrid backend's table
+// pass. It returns the graph's report and the arcs.
+func tablePass(t *testing.T, ev *nldm.Evaluator, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*sta.Report, [][]nldm.StageEdge) {
+	t.Helper()
+	edges := make([][]nldm.StageEdge, len(nl.Instances))
+	g, err := graph.Build(nl, nil, primary, opt, graph.Config{
+		Workers: 2,
+		Vdd:     ev.Vdd(),
+		Eval: func(nlx *sta.Netlist, _ map[string]*csm.Model, idx int, waves map[string]wave.Waveform, _ csm.Load, _ float64, opt sta.Options) (wave.Waveform, int, error) {
+			out, sw, es, err := ev.EvalStageEdges(nlx, idx, waves, opt)
+			edges[idx] = es
+			return out, sw, err
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := g.Propagate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return g.Report(), edges
+}
+
+// TestAnalyzeC17VsCSM: the NLDM table pass over c17 must land near the
+// CSM reference — same switching nets, arrivals within table-model error.
+func TestAnalyzeC17VsCSM(t *testing.T) {
+	nl, primary, opt := testutil.C17Fixture(t)
+	rep, _ := tablePass(t, c17Evaluator(t), nl, primary, opt)
 	csmRep, err := sta.Analyze(nl, testutil.CoarseNAND2Models(t), primary, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for net, want := range csmRep.Nets {
-		got, ok := res.Report.Nets[net]
+		got, ok := rep.Nets[net]
 		if !ok {
 			t.Fatalf("net %s missing from NLDM report", net)
 		}
@@ -87,12 +110,11 @@ func TestAnalyzeC17VsCSM(t *testing.T) {
 // meaningfully negative, and slacks grow off-critical.
 func TestSlacks(t *testing.T) {
 	nl, primary, opt := testutil.C17Fixture(t)
-	ev := c17Evaluator(t)
-	res, err := ev.Analyze(nl, primary, opt)
-	if err != nil {
-		t.Fatal(err)
+	rep, edges := tablePass(t, c17Evaluator(t), nl, primary, opt)
+	if _, err := nldm.Slacks(nl, rep, edges[1:]); err == nil {
+		t.Error("accepted an edge record per instance short")
 	}
-	slacks, err := res.Slacks(nl)
+	slacks, err := nldm.Slacks(nl, rep, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +141,26 @@ func TestSlacks(t *testing.T) {
 	if minSlack > 1e-15 {
 		t.Errorf("min slack = %g, want ~0", minSlack)
 	}
-	if w := res.WorstArrival(nl); math.IsNaN(w) || w <= 0 {
+	if _, w, ok := rep.WorstOutput(nl); !ok || w <= 0 {
 		t.Errorf("worst arrival = %g", w)
+	}
+}
+
+// TestSlacksWithoutOutputs: a netlist that declares no primary outputs
+// has no required times, so no stage is near-critical.
+func TestSlacksWithoutOutputs(t *testing.T) {
+	nl, primary, opt := testutil.C17Fixture(t)
+	bare := nl.Clone()
+	bare.PrimaryOut = nil
+	rep, edges := tablePass(t, c17Evaluator(t), bare, primary, opt)
+	slacks, err := nldm.Slacks(bare, rep, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range slacks {
+		if !math.IsInf(s, 1) {
+			t.Errorf("stage %s: slack %g with no required times", bare.Instances[i].Name, s)
+		}
 	}
 }
 
@@ -226,11 +266,19 @@ func TestEvaluatorErrors(t *testing.T) {
 		t.Errorf("unknown cell type: %v", err)
 	}
 
+	// An evaluator without libraries has no rail, so no table-only graph
+	// can be built on it.
 	empty, err := nldm.NewEvaluator(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Analyze(&sta.Netlist{}, nil, sta.Options{}); err == nil {
+	if empty.Vdd() != 0 {
+		t.Errorf("empty evaluator Vdd = %g", empty.Vdd())
+	}
+	eval := func(nlx *sta.Netlist, _ map[string]*csm.Model, idx int, waves map[string]wave.Waveform, _ csm.Load, _ float64, opt sta.Options) (wave.Waveform, int, error) {
+		return empty.EvalStage(nlx, idx, waves, opt)
+	}
+	if _, err := graph.Build(&sta.Netlist{}, nil, nil, sta.Options{}, graph.Config{Eval: eval, Vdd: empty.Vdd()}); err == nil {
 		t.Error("empty evaluator analyzed")
 	}
 }

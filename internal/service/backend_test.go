@@ -77,7 +77,8 @@ func TestSTABackendHybrid(t *testing.T) {
 }
 
 // TestSTABackendNLDM: the table backend serves a backend report with
-// every stage attributed to nldm.
+// every stage attributed to nldm, and counts as an nldm analysis only:
+// the hybrid stage counters stay at zero.
 func TestSTABackendNLDM(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/sta", c17Request("nldm"))
@@ -90,6 +91,10 @@ func TestSTABackendNLDM(t *testing.T) {
 	}
 	if rep.Backend != "nldm" || rep.CSMStages != 0 || rep.NLDMStages != rep.Stages {
 		t.Errorf("attribution %q %d/%d of %d", rep.Backend, rep.CSMStages, rep.NLDMStages, rep.Stages)
+	}
+	m := getMetrics(t, ts.URL).Backends
+	if m.NLDM != 1 || m.Hybrid != 0 || m.HybridCSMStages != 0 || m.HybridNLDMStages != 0 {
+		t.Errorf("backend metrics after one nldm analysis: %+v", m)
 	}
 }
 

@@ -156,23 +156,14 @@ func (s *Server) runMC(job *mcJob, onUpdate func(mc.Update), tr *obs.Trace) (str
 	defer s.metrics.inFlight.Add(-1)
 
 	wlSpan := tr.Root().Start("workload")
-	wl, err := s.workload(job.sta)
+	wl, name, primary, opt, err := s.analysisInput(job.sta)
 	wlSpan.End()
-	if err != nil {
-		return "", nil, err
-	}
-	name := job.sta.name
-	if name == "" {
-		name = wl.Name
-	}
-	horizon := wl.Horizon(job.sta.horizon, 4e-9, job.sta.slew)
-	primary, err := job.sta.primaryFor(wl, s.tech.Vdd, horizon)
 	if err != nil {
 		return "", nil, err
 	}
 
 	runStart := time.Now()
-	res, err := mc.New(s.eng).Run(ctx, s.mcConfig(job, onUpdate), wl.NL, primary, staOptions(job.sta, horizon))
+	res, err := mc.New(s.eng).Run(ctx, s.mcConfig(job, onUpdate), wl.NL, primary, opt)
 	s.metrics.backendHist(job.sta.backend).ObserveSince(runStart)
 	if err != nil {
 		return "", nil, err

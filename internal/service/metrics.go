@@ -101,6 +101,16 @@ func (m *metrics) backendCounter(kind engine.BackendKind) *atomic.Int64 {
 	return &m.backendCSM
 }
 
+// countHybrid adds a hybrid plan's stage attribution to the hybrid stage
+// counters; plans of the other backends leave them alone.
+func (m *metrics) countHybrid(plan *engine.BackendPlan) {
+	if plan.Kind != engine.BackendHybrid {
+		return
+	}
+	m.hybridCSMStages.Add(int64(plan.CSMStages))
+	m.hybridNLDMStages.Add(int64(plan.NLDMStages))
+}
+
 // BackendMetrics is the delay-backend section of /metrics.
 type BackendMetrics struct {
 	CSM    int64 `json:"csm"`

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"mcsm/internal/cliutil"
-	"mcsm/internal/engine"
 	"mcsm/internal/graph"
-	"mcsm/internal/sta"
 )
 
 // Stateful ECO sessions: POST /v1/session builds a retained timing graph
@@ -194,17 +192,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
-	wl, err := s.workload(job)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	name := job.name
-	if name == "" {
-		name = wl.Name
-	}
-	horizon := wl.Horizon(job.horizon, 4e-9, job.slew)
-	primary, err := job.primaryFor(wl, s.tech.Vdd, horizon)
+	wl, name, primary, opt, err := s.analysisInput(job)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
@@ -221,16 +209,13 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	// full-circuit build would drown the signal.
 	s.metrics.backendCounter(job.backend).Add(1)
 	buildStart := time.Now()
-	g, plan, _, err := cliutil.BuildBackendGraphCtx(ctx, s.eng, s.tech, wl, job.backendSpec(s.tech), primary, staOptions(job, horizon))
+	g, plan, _, err := cliutil.BuildBackendGraphCtx(ctx, s.eng, s.tech, wl, job.backendSpec(s.tech), primary, opt)
 	s.metrics.backendHist(job.backend).ObserveSince(buildStart)
 	if err != nil {
 		s.error(w, statusFor(err), err)
 		return
 	}
-	if plan.Kind == engine.BackendHybrid {
-		s.metrics.hybridCSMStages.Add(int64(plan.CSMStages))
-		s.metrics.hybridNLDMStages.Add(int64(plan.NLDMStages))
-	}
+	s.metrics.countHybrid(plan)
 
 	// Register under the requested id, or mint auto ids until one is
 	// free — a client may have claimed a name in the server's "s%06d"
@@ -332,11 +317,4 @@ func (s *Server) handleEco(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-// staOptions assembles the engine options a resolved job implies — shared
-// by the stateless compute path and the session build so the two cannot
-// disagree.
-func staOptions(job *staJob, horizon float64) sta.Options {
-	return sta.Options{Mode: job.mode, Horizon: horizon, Dt: job.dt}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -225,6 +226,20 @@ func (s *Server) workload(j *staJob) (*cliutil.Workload, error) {
 	})
 }
 
+// analysisInput resolves what every analysis endpoint hands the engine
+// for a job: the workload (through the LRU), the reply's display name
+// (the workload's unless the job names one), the primary-input drive,
+// and the analysis options.
+func (s *Server) analysisInput(j *staJob) (*cliutil.Workload, string, map[string]wave.Waveform, sta.Options, error) {
+	wl, err := s.workload(j)
+	if err != nil {
+		return nil, "", nil, sta.Options{}, err
+	}
+	horizon := wl.Horizon(j.horizon, 4e-9, j.slew)
+	primary, err := j.primaryFor(wl, s.tech.Vdd, horizon)
+	return wl, cmp.Or(j.name, wl.Name), primary, sta.Options{Mode: j.mode, Horizon: horizon, Dt: j.dt}, err
+}
+
 // primaryFor builds the job's primary-input drive.
 func (j *staJob) primaryFor(wl *cliutil.Workload, vdd, horizon float64) (map[string]wave.Waveform, error) {
 	var primary map[string]wave.Waveform
@@ -291,9 +306,10 @@ func (s *Server) handleSTA(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, resp)
 }
 
-// computeSTA runs one resolved job under a worker-pool slot and
-// materializes its response. The report bytes are the canonical golden
-// encoding — byte-identical to the CLI/golden path for the same inputs.
+// computeSTA runs one resolved job under a worker-pool slot through
+// engine.AnalyzeBackend, the path of every backend, and materializes its
+// response in the canonical encoding (warmGraph.marshal) — byte-identical
+// to the CLI/golden path for the same inputs.
 // A traced job additionally records a span tree and answers the traced
 // wrapper (the canonical bytes embedded verbatim, see wrapTraced).
 func (s *Server) computeSTA(job *staJob) response {
@@ -322,58 +338,26 @@ func (s *Server) computeSTA(job *staJob) response {
 	defer s.metrics.inFlight.Add(-1)
 
 	wlSpan := tr.Root().Start("workload")
-	wl, err := s.workload(job)
+	wl, name, primary, opt, err := s.analysisInput(job)
 	wlSpan.End()
 	if err != nil {
 		return response{err: err}
 	}
-	name := job.name
-	if name == "" {
-		name = wl.Name
-	}
-	horizon := wl.Horizon(job.horizon, 4e-9, job.slew)
-	primary, err := job.primaryFor(wl, s.tech.Vdd, horizon)
-	if err != nil {
-		return response{err: err}
-	}
 
-	// The non-csm backends answer the attribution-bearing backend report;
-	// the csm default stays on the historical path so its bytes remain
-	// pinned by the golden corpus.
-	if job.backend != engine.BackendCSM {
-		s.metrics.backendCounter(job.backend).Add(1)
-		analysisStart := time.Now()
-		res, err := s.eng.AnalyzeBackend(ctx, job.backendSpec(s.tech), wl.NL, primary, staOptions(job, horizon))
-		s.metrics.backendHist(job.backend).ObserveSince(analysisStart)
-		if err != nil {
-			return response{err: err}
-		}
-		s.metrics.hybridCSMStages.Add(int64(res.Plan.CSMStages))
-		s.metrics.hybridNLDMStages.Add(int64(res.Plan.NLDMStages))
-		body, err := engine.MarshalBackendReport(name, wl.NL, res)
-		if err != nil {
-			return response{err: err}
-		}
-		s.retainGraph(job, &warmGraph{g: res.Graph, nl: wl.NL, plan: res.Plan, wlName: wl.Name})
-		return tracedResponse(body, tr)
-	}
-	s.metrics.backendCounter(engine.BackendCSM).Add(1)
-
+	s.metrics.backendCounter(job.backend).Add(1)
 	analysisStart := time.Now()
-	models, err := s.eng.ModelsForCtx(ctx, s.tech, wl.NL, job.cfg)
+	res, err := s.eng.AnalyzeBackend(ctx, job.backendSpec(s.tech), wl.NL, primary, opt)
+	s.metrics.backendHist(job.backend).ObserveSince(analysisStart)
 	if err != nil {
 		return response{err: err}
 	}
-	g, err := s.eng.AnalyzeGraphCtx(ctx, wl.NL, models, primary, staOptions(job, horizon))
-	s.metrics.backendHist(engine.BackendCSM).ObserveSince(analysisStart)
+	s.metrics.countHybrid(res.Plan)
+	wg := &warmGraph{g: res.Graph, nl: wl.NL, plan: res.Plan, wlName: wl.Name}
+	body, err := wg.marshal(name, res.Report)
 	if err != nil {
 		return response{err: err}
 	}
-	body, err := sta.MarshalGoldenReport(name, g.Report())
-	if err != nil {
-		return response{err: err}
-	}
-	s.retainGraph(job, &warmGraph{g: g, nl: wl.NL, wlName: wl.Name})
+	s.retainGraph(job, wg)
 	return tracedResponse(body, tr)
 }
 

@@ -31,8 +31,19 @@ import (
 type warmGraph struct {
 	g      *graph.TimingGraph
 	nl     *sta.Netlist
-	plan   *engine.BackendPlan // non-nil for nldm/hybrid backend reports
+	plan   *engine.BackendPlan
 	wlName string
+}
+
+// marshal renders the analysis's canonical reply from rep, the graph's
+// report: the historical golden report for the csm backend, the
+// attribution-bearing backend report for nldm and hybrid. Cold and warm
+// replies both encode here, so they cannot pick different forms.
+func (wg *warmGraph) marshal(name string, rep *sta.Report) ([]byte, error) {
+	if wg.plan.Kind == engine.BackendCSM {
+		return sta.MarshalGoldenReport(name, rep)
+	}
+	return engine.MarshalBackendReport(name, wg.nl, &engine.BackendResult{Plan: wg.plan, Report: rep, Graph: wg.g})
 }
 
 // graphKey fingerprints the analysis identity for warm-graph reuse: every
@@ -86,15 +97,7 @@ func (s *Server) replyFromWarm(job *staJob, wg *warmGraph) response {
 	if name == "" {
 		name = wg.wlName
 	}
-	rep := wg.g.Report()
-	var body []byte
-	var err error
-	if wg.plan != nil {
-		res := &engine.BackendResult{Plan: wg.plan, Report: rep, Graph: wg.g}
-		body, err = engine.MarshalBackendReport(name, wg.nl, res)
-	} else {
-		body, err = sta.MarshalGoldenReport(name, rep)
-	}
+	body, err := wg.marshal(name, wg.g.Report())
 	if err != nil {
 		return response{err: err}
 	}

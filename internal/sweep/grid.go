@@ -191,7 +191,7 @@ func parseValues(s string) ([]float64, error) {
 		}
 		nums := make([]float64, 3)
 		for i, p := range parts {
-			v, err := ParseSI(p)
+			v, err := units.ParseSI(p)
 			if err != nil {
 				return nil, err
 			}
@@ -207,7 +207,7 @@ func parseValues(s string) ([]float64, error) {
 	}
 	var out []float64
 	for _, tok := range strings.Split(s, ",") {
-		v, err := ParseSI(tok)
+		v, err := units.ParseSI(tok)
 		if err != nil {
 			return nil, err
 		}
@@ -218,8 +218,3 @@ func parseValues(s string) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ParseSI reads a float with an optional engineering suffix. It delegates
-// to units.ParseSI — the one textual SI parser every layer shares — and
-// survives here for the historical sweep API.
-func ParseSI(s string) (float64, error) { return units.ParseSI(s) }
