@@ -56,7 +56,7 @@ func main() {
 		addr      = flag.String("addr", ":8720", "listen address")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently computing analyses (0 = max(2, GOMAXPROCS/2)); excess requests queue")
 		nlCache   = flag.Int("netlist-cache", 64, "parsed-netlist LRU capacity (entries)")
-		graphCap  = flag.Int("graph-cap", 16, "warm-graph LRU capacity: completed analyses retained so repeat requests skip computation (negative disables; each entry holds one waveform per net)")
+		graphCap  = flag.Int("graph-cap", 16, "warm LRU capacity: completed analyses whose encoded replies are retained so repeat requests skip computation (negative disables)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-request compute deadline (queue wait included)")
 		sessCap   = flag.Int("session-cap", 32, "max live ECO sessions (LRU-evicted beyond; each retains full per-net waveform state)")
 		sessTTL   = flag.Duration("session-ttl", 15*time.Minute, "idle ECO sessions expire after this")

@@ -226,6 +226,10 @@ func main() {
 	if *beJSON != "" {
 		fatal(fmt.Errorf("-backend-json requires -backend nldm or hybrid"))
 	}
+	primary := wl.Stimulus(tech.Vdd, *slew, h)
+	if err := cliutil.ApplyArrivalSpec(primary, tech.Vdd, *arrivals, *slew, h); err != nil {
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "characterizing cell models (%d workers)...\n", eng.Workers())
 	models, err := eng.ModelsForCtx(ctx, tech, wl.NL, cfg)
 	if err != nil {
@@ -237,11 +241,6 @@ func main() {
 			st.Misses-st.DiskHits, st.DiskHits, engFlags.CacheDir)
 	} else {
 		fmt.Fprintf(os.Stderr, "models: %d characterized\n", st.Misses)
-	}
-
-	primary := wl.Stimulus(tech.Vdd, *slew, h)
-	if err := cliutil.ApplyArrivalSpec(primary, tech.Vdd, *arrivals, *slew, h); err != nil {
-		fatal(err)
 	}
 
 	if *eco != "" {

@@ -294,7 +294,10 @@ func (w *Workload) Stimulus(vdd, slew, horizon float64) map[string]wave.Waveform
 }
 
 // ApplyArrivalSpec overlays "net:rise@1n,other:high" arrival overrides
-// onto primary-input waveforms (rise/fall ramps, or low/high holds).
+// onto primary-input waveforms (rise/fall ramps, or low/high holds). out
+// holds exactly the primary inputs, so a net that is not already one of
+// its keys is an error: an internal net would be overwritten by its
+// driver, and an unknown one would leak into the report as a phantom net.
 func ApplyArrivalSpec(out map[string]wave.Waveform, vdd float64, spec string, slew, horizon float64) error {
 	if spec == "" {
 		return nil
@@ -304,6 +307,9 @@ func ApplyArrivalSpec(out map[string]wave.Waveform, vdd float64, spec string, sl
 		kv := strings.SplitN(part, ":", 2)
 		if len(kv) != 2 {
 			return fmt.Errorf("bad arrival %q (want net:rise@1n)", part)
+		}
+		if _, ok := out[kv[0]]; !ok {
+			return fmt.Errorf("arrival %q: net %q is not a primary input", part, kv[0])
 		}
 		dirAt := strings.SplitN(kv[1], "@", 2)
 		switch {

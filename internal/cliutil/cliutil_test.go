@@ -180,6 +180,9 @@ y = NAND(a, b)
 func TestApplyArrivalSpec(t *testing.T) {
 	const vdd, slew, h = 1.2, 80e-12, 4e-9
 	out := map[string]wave.Waveform{}
+	for _, net := range []string{"a", "b", "c", "d"} {
+		out[net] = wave.SaturatedRamp(0, vdd, 1e-9, slew, h)
+	}
 	err := ApplyArrivalSpec(out, vdd, "a:rise@1n, b:fall@1.2n, c:high, d:low", slew, h)
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +202,16 @@ func TestApplyArrivalSpec(t *testing.T) {
 	if err := ApplyArrivalSpec(out, vdd, "", slew, h); err != nil {
 		t.Errorf("empty spec must be a no-op, got %v", err)
 	}
-	for _, bad := range []string{"a", "a:up@1n", "a:rise@1q", "a:rise"} {
+	for _, bad := range []string{"a", "a:up@1n", "a:rise@1q", "a:rise", "bogus:rise@1n", "zz:low", "a:high,e:low"} {
 		if err := ApplyArrivalSpec(out, vdd, bad, slew, h); err == nil {
 			t.Errorf("ApplyArrivalSpec(%q) accepted", bad)
 		}
+	}
+	if len(out) != 4 {
+		t.Errorf("rejected overrides added nets: %d keys, want 4", len(out))
+	}
+	if err := ApplyArrivalSpec(out, vdd, "bogus:rise@1n", slew, h); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("unknown-net error does not name the net: %v", err)
 	}
 }
 

@@ -166,8 +166,7 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, nl *sta.Netlist, models map[str
 // AnalyzeGraphCtx is AnalyzeCtx returning the propagated timing graph
 // itself instead of just its report. The graph retains full per-net
 // waveform state, so a caller may hold on to it and materialize the
-// (bit-identical) report again later without re-propagating — the
-// service's warm-graph LRU does exactly that for repeat requests.
+// (bit-identical) report again later without re-propagating.
 // Callers that keep the graph must treat it as immutable: Report() is a
 // pure read, but edits belong to ECO sessions, which build their own.
 func (e *Engine) AnalyzeGraphCtx(ctx context.Context, nl *sta.Netlist, models map[string]*csm.Model, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, error) {

@@ -310,7 +310,8 @@ func staticOutputLevel(cellType string, in []bool) (bool, error) {
 // output arrival and propagate backward over the arc delays; slack =
 // required(output) − arrival(output). Stages whose outputs never switch
 // (or that reach no primary output) carry +Inf slack — a CSM
-// re-evaluation cannot change the answer there.
+// re-evaluation cannot change the answer there. Without a switching
+// primary output (none declared, or none crosses) every slack is +Inf.
 func Slacks(nl *sta.Netlist, rep *sta.Report, edges [][]StageEdge) ([]float64, error) {
 	levels, err := nl.Levels()
 	if err != nil {
@@ -325,15 +326,13 @@ func Slacks(nl *sta.Netlist, rep *sta.Report, edges [][]StageEdge) ([]float64, e
 		}
 		return math.NaN()
 	}
-	// Tmax: the latest primary-output arrival (fallback: latest net
-	// anywhere, for netlists without declared outputs).
+	// Tmax: the latest primary-output arrival. An output driver that
+	// records an arc has a finite arrival (Arc.OutputRamp completes every
+	// ramp inside the waveform), so when no output switches no driver
+	// has an arc to propagate a required time over: every slack is +Inf.
 	_, tmax, ok := rep.WorstOutput(nl)
 	if !ok {
-		for _, nr := range rep.Nets {
-			if !math.IsNaN(nr.Arrival) && nr.Arrival > tmax {
-				tmax = nr.Arrival
-			}
-		}
+		tmax = math.Inf(1)
 	}
 	req := make(map[string]float64, len(nl.PrimaryOut))
 	for _, po := range nl.PrimaryOut {

@@ -146,21 +146,40 @@ func TestSlacks(t *testing.T) {
 	}
 }
 
-// TestSlacksWithoutOutputs: a netlist that declares no primary outputs
-// has no required times, so no stage is near-critical.
+// TestSlacksWithoutOutputs: a netlist that declares no primary outputs,
+// or whose outputs never switch (every input held static), has no
+// required times, so no stage is near-critical.
 func TestSlacksWithoutOutputs(t *testing.T) {
 	nl, primary, opt := testutil.C17Fixture(t)
 	bare := nl.Clone()
 	bare.PrimaryOut = nil
-	rep, edges := tablePass(t, c17Evaluator(t), bare, primary, opt)
-	slacks, err := nldm.Slacks(bare, rep, edges)
-	if err != nil {
-		t.Fatal(err)
+	static := make(map[string]wave.Waveform, len(primary))
+	for net, w := range primary {
+		static[net] = wave.Constant(w.First(), 0, opt.Horizon)
 	}
-	for i, s := range slacks {
-		if !math.IsInf(s, 1) {
-			t.Errorf("stage %s: slack %g with no required times", bare.Instances[i].Name, s)
-		}
+	for _, tc := range []struct {
+		name    string
+		nl      *sta.Netlist
+		primary map[string]wave.Waveform
+	}{
+		{"no declared outputs", bare, primary},
+		{"outputs that never switch", nl, static},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, edges := tablePass(t, c17Evaluator(t), tc.nl, tc.primary, opt)
+			if _, _, ok := rep.WorstOutput(tc.nl); ok {
+				t.Fatal("a primary output switched")
+			}
+			slacks, err := nldm.Slacks(tc.nl, rep, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range slacks {
+				if !math.IsInf(s, 1) {
+					t.Errorf("stage %s: slack %g with no required times", tc.nl.Instances[i].Name, s)
+				}
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 //     computation inside the batch, and every computation goes through
 //     the server's flight group, so sub-jobs also coalesce with
 //     concurrent single requests and other batches.
-//   - Each computation is exactly computeSTA — warm-graph fast path,
+//   - Each computation is exactly computeSTA — warm-reply fast path,
 //     netlist LRU, worker-pool slot and all — so every embedded report
 //     is byte-identical to what POST /v1/sta answers for the same item,
 //     at any worker count (pinned by TestBatchMatchesSingle and the

@@ -226,8 +226,8 @@ type Metrics struct {
 
 	ModelCache   ModelCacheMetrics `json:"model_cache"`
 	NetlistCache lruStats          `json:"netlist_cache"`
-	// GraphCache is the warm-graph LRU: hits are repeat analyses served
-	// from a retained propagated graph without any computation.
+	// GraphCache is the warm-reply LRU: hits are repeat analyses served
+	// from a retained encoded reply without any computation.
 	GraphCache lruStats       `json:"graph_cache"`
 	Sessions   SessionMetrics `json:"sessions"`
 	Backends   BackendMetrics `json:"backends"`

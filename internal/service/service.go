@@ -21,7 +21,7 @@
 //	GET  /metrics    — cache hit rates, coalescing, in-flight gauge,
 //	                   session/ECO counters, throughput counters.
 //
-// Three layers of work-sharing stack up:
+// Four layers of work-sharing stack up:
 //
 //  1. The engine's ModelCache (singleflight, optional JSON spill):
 //     characterization runs at most once per model identity, server-wide.
@@ -30,6 +30,8 @@
 //     levelization entirely.
 //  3. Request coalescing: identical requests that overlap in time share
 //     one computation and receive byte-identical response bodies.
+//  4. The warm-reply LRU (warm.go): a repeat of a completed analysis is
+//     answered from its retained encoded reply.
 //
 // Analyses run on a bounded worker pool (Config.MaxInFlight) with
 // per-request deadlines and cooperative cancellation via
@@ -65,11 +67,10 @@ type Config struct {
 	// NetlistCap is the parsed-netlist LRU capacity in entries
 	// (default 64).
 	NetlistCap int
-	// GraphCap is the warm-graph LRU capacity: completed one-shot analyses
-	// whose propagated timing graphs are retained so repeat requests skip
-	// the entire compute path (default 16; negative disables the layer —
-	// useful for A/B benchmarking). Each retained graph holds one waveform
-	// per net, comparable to an ECO session, so this is a memory knob.
+	// GraphCap is the warm LRU capacity: completed one-shot analyses whose
+	// encoded replies are retained so repeat requests skip the entire
+	// compute path (default 16; negative disables the layer — useful for
+	// A/B benchmarking). Each entry holds one encoded reply.
 	GraphCap int
 	// Timeout is the per-request compute deadline (default 5 minutes).
 	// It covers queue wait plus analysis, not characterization spill I/O.
@@ -117,7 +118,7 @@ type Server struct {
 	tech       cells.Tech
 	eng        *engine.Engine
 	nets       *netlistLRU
-	graphs     *lruCore[*warmGraph] // nil when Config.GraphCap < 0
+	replies    *lruCore[*warmReply] // nil when Config.GraphCap < 0
 	flights    *flightGroup
 	sessions   *sessionStore
 	sessionSeq atomic.Int64
@@ -167,7 +168,7 @@ func NewWithEngine(cfg Config, eng *engine.Engine) *Server {
 		cancel:   cancel,
 	}
 	if cfg.GraphCap > 0 {
-		s.graphs = newLRUCore[*warmGraph](cfg.GraphCap)
+		s.replies = newLRUCore[*warmReply](cfg.GraphCap)
 	}
 	s.metrics.init()
 	return s

@@ -214,6 +214,7 @@ func TestSTAErrors(t *testing.T) {
 		{"negative horizon", STARequest{Netlist: invChain, Horizon: "-1n"}, 400},
 		{"unparsable netlist", STARequest{Netlist: "inst ???"}, 400},
 		{"c17 stimulus elsewhere", STARequest{Netlist: invChain, Stimulus: "c17"}, 400},
+		{"c17 stimulus on a subset", STARequest{Netlist: "input n1\noutput y\ninst U1 INV y n1\n", Stimulus: "c17"}, 400},
 		{"unknown field", map[string]any{"netlist": invChain, "netlists": 3}, 400},
 	}
 	for _, tc := range cases {
@@ -246,6 +247,44 @@ func TestSTAErrors(t *testing.T) {
 
 	if m := getMetrics(t, ts.URL); m.Errors < int64(len(cases)) {
 		t.Errorf("errors counter = %d, want >= %d", m.Errors, len(cases))
+	}
+}
+
+// TestArrivalsRejectNonPrimaryNets: an arrival override on a net that is
+// not a primary input — unknown, or driven by an instance — is a 400
+// naming the net on every endpoint that takes a workload, and a per-item
+// 400 in a batch; no phantom net reaches a report.
+func TestArrivalsRejectNonPrimaryNets(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, arrivals := range []string{"bogus:rise@1n", "n1:low"} {
+		net, _, _ := strings.Cut(arrivals, ":")
+		want := fmt.Sprintf("net %q is not a primary input", net)
+		bad := invRequest()
+		bad.Arrivals = arrivals
+		mc := mcRequest()
+		mc.STARequest = bad
+		for path, req := range map[string]any{
+			"/v1/sta":     bad,
+			"/v1/session": SessionRequest{STARequest: bad},
+			"/v1/mc":      mc,
+		} {
+			resp, body := postJSON(t, ts.URL+path, req)
+			var eb errorBody
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || !strings.Contains(eb.Error, want) {
+				t.Errorf("%s with arrivals %q: status %d: %s", path, arrivals, resp.StatusCode, body)
+			}
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/sta:batch", BatchSTARequest{Items: []STARequest{bad, invRequest()}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+		}
+		reply := decodeBatchReply(t, body)
+		if it := reply.Items[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, want) {
+			t.Errorf("batch item with arrivals %q: status %d, error %q", arrivals, it.Status, it.Error)
+		}
+		if it := reply.Items[1]; it.Status != http.StatusOK {
+			t.Errorf("good batch item: status %d, error %q", it.Status, it.Error)
+		}
 	}
 }
 

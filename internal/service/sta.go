@@ -91,6 +91,10 @@ type staJob struct {
 	backend  engine.BackendKind
 	margin   float64 // hybrid criticality threshold (0 = default)
 	trace    bool    // wrap the reply with a span tree; bypasses coalescing
+
+	// flightKey, warmKey and netKey are fixed by fingerprint once the job
+	// is resolved (see key, graphKey and netlistKey).
+	flightKey, warmKey, netKey string
 }
 
 // resolveSTA validates a request into a job. All errors here are 400s.
@@ -187,31 +191,44 @@ func (s *Server) resolveSTA(req STARequest) (*staJob, error) {
 			return nil, fmt.Errorf("margin must be positive")
 		}
 	}
+	job.fingerprint()
 	return job, nil
 }
 
-// key fingerprints the resolved job for coalescing: two requests coalesce
-// iff every analysis-relevant field agrees. The (large) source text
-// enters through a 128-bit FNV, everything else literally.
-func (j *staJob) key() string {
+// fingerprint fixes the resolved job's keys. The (large) source text
+// enters every key through one 128-bit FNV digest, everything else
+// literally.
+func (j *staJob) fingerprint() {
 	h := fnv.New128a()
 	h.Write([]byte(j.source))
-	return fmt.Sprintf("sta|%s|%s|%x|%+v|%t|%s|%d|%b|%b|%b|%s|%s|%s|%b",
-		j.name, j.format, h.Sum(nil), j.gen, j.genSet, j.cfgName,
+	digest := h.Sum(nil)
+	identity := fmt.Sprintf("%s|%x|%+v|%t|%s|%d|%b|%b|%b|%s|%s|%s|%b",
+		j.format, digest, j.gen, j.genSet, j.cfgName,
 		j.mode, j.dt, j.horizon, j.slew, j.stimulus, j.arrivals,
 		j.backend, j.margin)
+	j.flightKey = "sta|" + j.name + "|" + identity
+	j.warmKey = "graph|" + identity
+	if j.genSet {
+		j.netKey = fmt.Sprintf("gen|%+v", j.gen)
+	} else {
+		j.netKey = fmt.Sprintf("%s|%x", j.format, digest)
+	}
 }
+
+// key fingerprints the resolved job for coalescing: two requests coalesce
+// iff every analysis-relevant field and the display name agree.
+func (j *staJob) key() string { return j.flightKey }
+
+// graphKey addresses the warm-reply LRU: every field of the coalescing
+// key except the display name (spliced in at reply time, so
+// differently-named requests for the same analysis share one entry) and
+// the trace flag (traced requests measure their own computation and
+// bypass that cache entirely).
+func (j *staJob) graphKey() string { return j.warmKey }
 
 // netlistKey addresses the parsed-workload LRU: content hash for source
 // text, the resolved spec for generated circuits.
-func (j *staJob) netlistKey() string {
-	if j.genSet {
-		return fmt.Sprintf("gen|%+v", j.gen)
-	}
-	h := fnv.New128a()
-	h.Write([]byte(j.source))
-	return fmt.Sprintf("%s|%x", j.format, h.Sum(nil))
-}
+func (j *staJob) netlistKey() string { return j.netKey }
 
 // workload resolves the job's netlist through the LRU.
 func (s *Server) workload(j *staJob) (*cliutil.Workload, error) {
@@ -254,9 +271,9 @@ func (j *staJob) primaryFor(wl *cliutil.Workload, vdd, horizon float64) (map[str
 			primary[net] = wave.SaturatedRamp(0, vdd, 1e-9, j.slew, horizon)
 		}
 	}
-	if err := cliutil.ApplyArrivalSpec(primary, vdd, j.arrivals, j.slew, horizon); err != nil {
-		return nil, err
-	}
+	// The drive must cover exactly the primary inputs before arrivals
+	// overlay it: an extra net (only the fixed c17 drive can have one)
+	// would leak into the report.
 	var missing []string
 	for _, net := range wl.NL.PrimaryIn {
 		if _, ok := primary[net]; !ok {
@@ -266,6 +283,12 @@ func (j *staJob) primaryFor(wl *cliutil.Workload, vdd, horizon float64) (map[str
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		return nil, fmt.Errorf("stimulus %q drives no waveform for primary inputs %v", j.stimulus, missing)
+	}
+	if extra := len(primary) - len(wl.NL.PrimaryIn); extra > 0 {
+		return nil, fmt.Errorf("stimulus %q drives %d nets that are not primary inputs", j.stimulus, extra)
+	}
+	if err := cliutil.ApplyArrivalSpec(primary, vdd, j.arrivals, j.slew, horizon); err != nil {
+		return nil, err
 	}
 	return primary, nil
 }
@@ -308,16 +331,16 @@ func (s *Server) handleSTA(w http.ResponseWriter, r *http.Request) {
 
 // computeSTA runs one resolved job under a worker-pool slot through
 // engine.AnalyzeBackend, the path of every backend, and materializes its
-// response in the canonical encoding (warmGraph.marshal) — byte-identical
-// to the CLI/golden path for the same inputs.
+// response in the canonical encoding (marshalReply) — byte-identical to
+// the CLI/golden path for the same inputs.
 // A traced job additionally records a span tree and answers the traced
 // wrapper (the canonical bytes embedded verbatim, see wrapTraced).
 func (s *Server) computeSTA(job *staJob) response {
-	// Warm-graph fast path: a retained propagated graph for this exact
-	// analysis identity answers without parsing, building, propagating, or
-	// even taking a worker-pool slot — and byte-identically to a cold run.
-	if wg, ok := s.warmGraphFor(job); ok {
-		return s.replyFromWarm(job, wg)
+	// Warm fast path: the retained reply of this exact analysis identity
+	// answers without parsing, building, propagating, encoding, or even
+	// taking a worker-pool slot — and byte-identically to a cold run.
+	if wr, ok := s.warmReplyFor(job); ok {
+		return response{status: http.StatusOK, contentType: "application/json", body: wr.reply(job.name)}
 	}
 
 	var tr *obs.Trace
@@ -352,12 +375,11 @@ func (s *Server) computeSTA(job *staJob) response {
 		return response{err: err}
 	}
 	s.metrics.countHybrid(res.Plan)
-	wg := &warmGraph{g: res.Graph, nl: wl.NL, plan: res.Plan, wlName: wl.Name}
-	body, err := wg.marshal(name, res.Report)
+	body, err := marshalReply(name, wl.NL, res)
 	if err != nil {
 		return response{err: err}
 	}
-	s.retainGraph(job, wg)
+	s.retainReply(job, body, name, wl.Name, res.Plan.Kind)
 	return tracedResponse(body, tr)
 }
 

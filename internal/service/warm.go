@@ -1,105 +1,129 @@
 package service
 
 import (
-	"fmt"
-	"hash/fnv"
+	"bytes"
+	"encoding/json"
 
 	"mcsm/internal/engine"
-	"mcsm/internal/graph"
 	"mcsm/internal/sta"
 )
 
-// The warm-graph layer: the fourth work-sharing tier, above the model
+// The warm-reply layer: the fourth work-sharing tier, above the model
 // cache, the netlist LRU, and request coalescing. Where coalescing shares
-// a computation between requests that overlap in time, the warm-graph LRU
-// shares it across time: the propagated graph.TimingGraph of a completed
-// analysis is retained keyed by the full analysis identity (content hash +
-// every analysis-relevant parameter, display name excluded), so a repeat
-// request skips netlist resolution, model lookup, graph build, and
-// propagation entirely — it re-materializes the report from retained
-// waveform state, byte-identical to the cold run (Report is a pure read
-// of immutable state; enforced by TestWarmGraphBitIdentity).
-//
-// Retained graphs are never edited: ECO sessions build their own private
-// graphs, and the one-shot path has no mutation surface. Memory is
-// bounded by Config.GraphCap (a propagated graph holds one waveform per
-// net, the same order of state as an ECO session).
+// a computation between requests that overlap in time, the warm LRU
+// shares it across time. A warm hit is a pure function of the analysis
+// and the display name, so the LRU retains each completed analysis's
+// canonical reply bytes, keyed by the full analysis identity (display
+// name excluded), and nothing else: no graph, netlist, plan or waveform.
+// A same-name repeat answers the retained bytes; a renamed one splices
+// the new name's JSON encoding in where the old one sat — byte-identical
+// to the cold run under that name (TestWarmReplyExactness).
 
-// warmGraph is one retained analysis, self-sufficient for replies: the
-// propagated graph plus the netlist/plan the canonical marshal needs and
-// the workload name used when a request doesn't carry its own.
-type warmGraph struct {
-	g      *graph.TimingGraph
-	nl     *sta.Netlist
-	plan   *engine.BackendPlan
+// warmReply is one retained analysis: the reply body the cold path
+// encoded, the display name it was encoded under, the byte offsets of
+// that name's JSON encoding in body, and the workload's default name for
+// requests that carry none. body is immutable and shared by every hit.
+type warmReply struct {
+	body   []byte
+	name   string
+	enc    int   // length of the name's JSON encoding in body
+	sites  []int // offsets of that encoding
 	wlName string
 }
 
-// marshal renders the analysis's canonical reply from rep, the graph's
-// report: the historical golden report for the csm backend, the
-// attribution-bearing backend report for nldm and hybrid. Cold and warm
-// replies both encode here, so they cannot pick different forms.
-func (wg *warmGraph) marshal(name string, rep *sta.Report) ([]byte, error) {
-	if wg.plan.Kind == engine.BackendCSM {
-		return sta.MarshalGoldenReport(name, rep)
+// marshalReply renders an analysis's canonical reply under name: the
+// historical golden report for the csm backend, the attribution-bearing
+// backend report for nldm and hybrid.
+func marshalReply(name string, nl *sta.Netlist, res *engine.BackendResult) ([]byte, error) {
+	if res.Plan.Kind == engine.BackendCSM {
+		return sta.MarshalGoldenReport(name, res.Report)
 	}
-	return engine.MarshalBackendReport(name, wg.nl, &engine.BackendResult{Plan: wg.plan, Report: rep, Graph: wg.g})
+	return engine.MarshalBackendReport(name, nl, res)
 }
 
-// graphKey fingerprints the analysis identity for warm-graph reuse: every
-// field of the coalescing key except the display name (applied at marshal
-// time, so differently-named requests for the same analysis share one
-// graph) and the trace flag (traced requests measure their own
-// computation and bypass this cache entirely).
-func (j *staJob) graphKey() string {
-	h := fnv.New128a()
-	h.Write([]byte(j.source))
-	return fmt.Sprintf("graph|%s|%x|%+v|%t|%s|%d|%b|%b|%b|%s|%s|%s|%b",
-		j.format, h.Sum(nil), j.gen, j.genSet, j.cfgName,
-		j.mode, j.dt, j.horizon, j.slew, j.stimulus, j.arrivals,
-		j.backend, j.margin)
-}
+// The name sites follow from the encoders' field order. Both canonical
+// forms open with their "circuit" field (sta.GoldenReport,
+// engine.BackendGolden), and a backend report's last field is the golden
+// report, whose own "circuit" opens it. Inside a JSON string a newline is
+// always escaped, so a newline followed by exactly two spaces of indent
+// starts a top-level key: the nested site's prefix occurs nowhere else.
+const (
+	circuitPrefix = "{\n  \"circuit\": "
+	nestedPrefix  = "\n  \"report\": {\n    \"circuit\": "
+)
 
-// graphStats snapshots the warm-graph LRU for /metrics (zeros when the
-// layer is disabled).
-func (s *Server) graphStats() lruStats {
-	if s.graphs == nil {
-		return lruStats{}
-	}
-	return s.graphs.stats()
-}
-
-// warmGraphFor looks up the retained graph for a job, when the layer is
-// enabled and the job is eligible (untraced).
-func (s *Server) warmGraphFor(job *staJob) (*warmGraph, bool) {
-	if s.graphs == nil || job.trace {
+// newWarmReply indexes a canonical reply body encoded under name. It
+// reports false when name's encoding does not sit at every derived site,
+// and such an entry is not retained.
+func newWarmReply(body []byte, name, wlName string, kind engine.BackendKind) (*warmReply, bool) {
+	enc, _ := json.Marshal(name) // a string always encodes
+	if !bytes.HasPrefix(body, []byte(circuitPrefix)) {
 		return nil, false
 	}
-	return s.graphs.get(job.graphKey())
+	sites := []int{len(circuitPrefix)}
+	if kind != engine.BackendCSM {
+		from := sites[0] + len(enc)
+		at := bytes.Index(body[from:], []byte(nestedPrefix))
+		if at < 0 {
+			return nil, false
+		}
+		sites = append(sites, from+at+len(nestedPrefix))
+	}
+	for _, at := range sites {
+		if !bytes.HasPrefix(body[at:], enc) {
+			return nil, false
+		}
+	}
+	return &warmReply{body: body, name: name, enc: len(enc), sites: sites, wlName: wlName}, true
 }
 
-// retainGraph offers a completed analysis to the warm LRU. Raced inserts
-// keep the resident entry; evicted graphs simply drop their references.
-func (s *Server) retainGraph(job *staJob, wg *warmGraph) {
-	if s.graphs == nil || job.trace {
+// reply answers the retained analysis under the request's name (the
+// workload default when it carries none). The same name returns the
+// shared body; another name is spliced into a fresh buffer. json.Marshal
+// writes exactly the string encoding MarshalIndent does, HTML escaping
+// included.
+func (w *warmReply) reply(name string) []byte {
+	if name == "" {
+		name = w.wlName
+	}
+	if name == w.name {
+		return w.body
+	}
+	enc, _ := json.Marshal(name) // a string always encodes
+	out := make([]byte, 0, len(w.body)+len(w.sites)*(len(enc)-w.enc))
+	prev := 0
+	for _, at := range w.sites {
+		out = append(append(out, w.body[prev:at]...), enc...)
+		prev = at + w.enc
+	}
+	return append(out, w.body[prev:]...)
+}
+
+// graphStats snapshots the warm LRU for /metrics (zeros when the layer is
+// disabled).
+func (s *Server) graphStats() lruStats {
+	if s.replies == nil {
+		return lruStats{}
+	}
+	return s.replies.stats()
+}
+
+// warmReplyFor looks up the retained reply for a job, when the layer is
+// enabled and the job is eligible (untraced).
+func (s *Server) warmReplyFor(job *staJob) (*warmReply, bool) {
+	if s.replies == nil || job.trace {
+		return nil, false
+	}
+	return s.replies.get(job.graphKey())
+}
+
+// retainReply offers a completed analysis's reply, encoded under name, to
+// the warm LRU. Raced inserts keep the resident entry.
+func (s *Server) retainReply(job *staJob, body []byte, name, wlName string, kind engine.BackendKind) {
+	if s.replies == nil || job.trace {
 		return
 	}
-	s.graphs.putIfAbsent(job.graphKey(), wg)
-}
-
-// replyFromWarm materializes a response from a retained graph: the job's
-// own name (or the workload default) applied to a freshly built — and
-// bit-identical — canonical report. No worker-pool slot is taken: this
-// path performs no netlist parse, no model resolution, no waveform
-// propagation; it is a cache read.
-func (s *Server) replyFromWarm(job *staJob, wg *warmGraph) response {
-	name := job.name
-	if name == "" {
-		name = wg.wlName
+	if wr, ok := newWarmReply(body, name, wlName, kind); ok {
+		s.replies.putIfAbsent(job.graphKey(), wr)
 	}
-	body, err := wg.marshal(name, wg.g.Report())
-	if err != nil {
-		return response{err: err}
-	}
-	return response{status: 200, contentType: "application/json", body: body}
 }
