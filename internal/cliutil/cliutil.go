@@ -45,12 +45,20 @@ const DefaultSlew = 80e-12
 func ParseSI(s string) (float64, error) { return units.ParseSI(s) }
 
 // ParseDt resolves an optional -dt style spec: empty selects the engine
-// default (0 → 1 ps downstream), anything else must parse as an SI time.
+// default (0 → 1 ps downstream), anything else must parse as a positive
+// SI time.
 func ParseDt(spec string) (float64, error) {
 	if spec == "" {
 		return 0, nil
 	}
-	return ParseSI(spec)
+	dt, err := ParseSI(spec)
+	if err != nil {
+		return 0, err
+	}
+	if dt <= 0 {
+		return 0, fmt.Errorf("dt must be positive, got %q", spec)
+	}
+	return dt, nil
 }
 
 // EngineFlags bundles the engine configuration every analysis binary

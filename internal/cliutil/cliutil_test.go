@@ -35,6 +35,14 @@ func TestParseSIExactBits(t *testing.T) {
 	if _, err := ParseDt("4q"); err == nil {
 		t.Error("ParseDt accepted a bad suffix")
 	}
+	for _, bad := range []string{"0", "-1p", "0p", "-0"} {
+		if _, err := ParseDt(bad); err == nil || !strings.Contains(err.Error(), "positive") {
+			t.Errorf("ParseDt(%q) error %v, want a must-be-positive error", bad, err)
+		}
+	}
+	if v, err := ParseDt("1e-30"); err != nil || v != 1e-30 {
+		t.Errorf("ParseDt(1e-30) = %v, %v; the step-count bound is the run's to enforce", v, err)
+	}
 }
 
 func TestCharConfig(t *testing.T) {

@@ -82,7 +82,9 @@ func (ml MultiLoad) Attach(c *spice.Circuit, out spice.Node) {
 type StageResult struct {
 	Out wave.Waveform // output voltage
 	VN  wave.Waveform // internal node voltage (KindMCSM; empty otherwise)
-	Res *spice.Result // full solver record
+	// Res is the solver record: every unknown for an adaptive run, the
+	// output and VN only for a fixed-step one.
+	Res *spice.Result
 }
 
 // SimulateStageAdaptive is SimulateStage with ΔV-controlled adaptive time
@@ -107,7 +109,9 @@ func SimulateStageAdaptive(m *Model, inputs []wave.Waveform, load Load, start, s
 }
 
 // buildStage wires the shared stage circuit: ideal sources on the inputs,
-// the CSM cell, and the load.
+// the CSM cell, and the load. Each source reads its waveform through a
+// wave.Cursor, which returns Waveform.At's values without a binary search
+// per solve.
 func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *Cell, spice.Node, error) {
 	if len(inputs) != len(m.Inputs) {
 		return nil, nil, 0, fmt.Errorf("csm: %d input waveforms for %d-input model", len(inputs), len(m.Inputs))
@@ -116,7 +120,7 @@ func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *C
 	inNodes := make([]spice.Node, len(inputs))
 	for i := range inputs {
 		inNodes[i] = c.Node("in_" + m.Inputs[i])
-		c.AddVSource("V"+m.Inputs[i], inNodes[i], spice.Ground, inputs[i])
+		c.AddVSource("V"+m.Inputs[i], inNodes[i], spice.Ground, &wave.Cursor{W: inputs[i]})
 	}
 	out := c.Node("out")
 	cell, err := NewCell("CSM", m, inNodes, out, false)
@@ -134,18 +138,39 @@ func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *C
 // by ideal input waveforms into the given load, using the implicit solver
 // (the CSM cell as a circuit element). The initial condition comes from a
 // DC solve at `start`, so input waveforms should begin in a settled state.
+// The run records the output and, for KindMCSM, the internal node.
 func SimulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (*StageResult, error) {
+	return simulateStage(m, inputs, load, start, stop, dt, m.Kind == KindMCSM)
+}
+
+// SimulateStageOut is SimulateStage for callers that need only the output
+// waveform, such as static timing: the run records the output node alone.
+func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (wave.Waveform, error) {
+	sr, err := simulateStage(m, inputs, load, start, stop, dt, false)
+	if err != nil {
+		return wave.Waveform{}, err
+	}
+	return sr.Out, nil
+}
+
+// simulateStage runs the fixed-step stage simulation, recording the
+// output and, when withVN is set, the internal node.
+func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, withVN bool) (*StageResult, error) {
 	c, cell, out, err := buildStage(m, inputs, load)
 	if err != nil {
 		return nil, err
 	}
 	eng := spice.NewEngine(c, spice.DefaultOptions())
-	res, err := eng.Run(start, stop, dt)
+	keep := []int{int(out) - 1}
+	if withVN {
+		keep = append(keep, cell.VNIndex())
+	}
+	res, err := eng.Run(start, stop, dt, keep...)
 	if err != nil {
 		return nil, err
 	}
 	sr := &StageResult{Out: res.Wave(out), Res: res}
-	if m.Kind == KindMCSM {
+	if withVN {
 		sr.VN = res.AuxWave(cell.VNIndex())
 	}
 	return sr, nil

@@ -253,8 +253,13 @@ func (s *Server) analysisInput(j *staJob) (*cliutil.Workload, string, map[string
 		return nil, "", nil, sta.Options{}, err
 	}
 	horizon := wl.Horizon(j.horizon, 4e-9, j.slew)
+	opt := sta.Options{Mode: j.mode, Horizon: horizon, Dt: j.dt}
 	primary, err := j.primaryFor(wl, s.tech.Vdd, horizon)
-	return wl, cmp.Or(j.name, wl.Name), primary, sta.Options{Mode: j.mode, Horizon: horizon, Dt: j.dt}, err
+	if err == nil {
+		// Reject an over-long window before any model is characterized.
+		err = sta.CheckWindow(primary, opt)
+	}
+	return wl, cmp.Or(j.name, wl.Name), primary, opt, err
 }
 
 // primaryFor builds the job's primary-input drive.

@@ -189,9 +189,16 @@ func (e *Engine) newton(ctx *Context, gmin float64) error {
 	haveAssembly := false
 	var f0 float64
 	for iter := 0; iter < e.opt.MaxIter; iter++ {
+		// f0, the residual norm of the current assembly, is read by the
+		// chord test and the line search only: without chord mode it is
+		// computed when the line search needs it, so an iteration that
+		// converges on its full step never computes it.
+		haveF0 := haveAssembly
 		if !haveAssembly {
 			e.assemble(sysA, ctx, gmin)
-			f0 = residualNorm(sysA, ctx.X)
+			if lag > 0 {
+				f0, haveF0 = residualNorm(sysA, ctx.X), true
+			}
 		}
 		haveAssembly = false
 		var xNew []float64
@@ -247,7 +254,12 @@ func (e *Engine) newton(ctx *Context, gmin float64) error {
 		}
 		// Backtracking line search: accept the first scale that reduces the
 		// residual; fall back to the best seen so the iteration keeps
-		// moving even on shallow landscapes.
+		// moving even on shallow landscapes. ctx.X still equals x0 and
+		// sysA is untouched by the solve, so a deferred f0 is the value an
+		// eager one would have been.
+		if !haveF0 {
+			f0 = residualNorm(sysA, x0)
+		}
 		bestScale, bestF := scale, math.Inf(1)
 		s := scale
 		sLast, fLast := math.NaN(), math.Inf(1)
@@ -357,28 +369,51 @@ func (e *Engine) DCFrom(seed []float64, t float64) ([]float64, error) {
 }
 
 // Run performs a transient analysis from start to stop with fixed step dt,
-// computing the initial condition from a DC solve at start. All node
-// voltages and auxiliary unknowns are recorded every step.
-func (e *Engine) Run(start, stop, dt float64) (*Result, error) {
+// computing the initial condition from a DC solve at start. keep lists the
+// unknown indices to record at every step; with none, every node voltage
+// and auxiliary unknown is recorded.
+func (e *Engine) Run(start, stop, dt float64, keep ...int) (*Result, error) {
 	x0, err := e.DCAt(start)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunFrom(x0, start, stop, dt)
+	return e.RunFrom(x0, start, stop, dt, keep...)
+}
+
+// FixedSteps returns the step count of a fixed-step run over [start, stop]
+// at dt. It fails on an empty window, a step that is not positive and
+// finite, and a count that is not finite or exceeds MaxSteps.
+func FixedSteps(start, stop, dt float64) (int, error) {
+	if !(dt > 0) || math.IsInf(dt, 1) || !(stop > start) {
+		return 0, fmt.Errorf("spice: invalid transient window [%g,%g] dt=%g", start, stop, dt)
+	}
+	steps := math.Ceil((stop - start) / dt)
+	if !(steps <= MaxSteps) {
+		return 0, fmt.Errorf("spice: transient window [%g,%g] at dt=%g needs %g steps, more than %d",
+			start, stop, dt, steps, MaxSteps)
+	}
+	if steps < 1 {
+		return 0, fmt.Errorf("spice: transient window [%g,%g] at dt=%g has no step", start, stop, dt)
+	}
+	return int(steps), nil
 }
 
 // RunFrom performs a transient analysis starting from the supplied unknown
-// vector (typically a previous DC or transient solution).
-func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64) (*Result, error) {
-	if dt <= 0 || stop <= start {
-		return nil, fmt.Errorf("spice: invalid transient window [%g,%g] dt=%g", start, stop, dt)
+// vector (typically a previous DC or transient solution). keep is as for
+// Run.
+func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, keep ...int) (*Result, error) {
+	nSteps, err := FixedSteps(start, stop, dt)
+	if err != nil {
+		return nil, err
 	}
 	n := e.Unknowns()
 	if len(x0) != n {
 		return nil, fmt.Errorf("spice: initial state has %d unknowns, want %d", len(x0), n)
 	}
-	nSteps := int(math.Ceil((stop - start) / dt))
-	res := newResult(e.ckt, n, nSteps+1)
+	if err := checkKeep(keep, n); err != nil {
+		return nil, err
+	}
+	res := newResult(e.ckt, n, nSteps+1, keep)
 
 	x := make([]float64, n)
 	xprev := make([]float64, n)

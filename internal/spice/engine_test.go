@@ -283,10 +283,10 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// TestResultReservation: a fixed-step run records into exactly the rows it
-// reserved; a reservation beyond maxReservedSteps (or an overflowed step
-// count) falls back to chunked growth, and rows recorded past any
-// reservation keep their values.
+// TestResultReservation: a fixed-step run records into exactly the
+// columns it reserved; an unknown or out-of-range step count (an adaptive
+// run, an overflowed count) reserves a small default and doubles, and
+// samples recorded past any reservation keep their values.
 func TestResultReservation(t *testing.T) {
 	c := NewCircuit()
 	n := c.Node("n")
@@ -296,22 +296,26 @@ func TestResultReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(res.Times) != res.Steps() || len(res.arena) != 0 {
-		t.Errorf("run of %d points reserved %d time slots, %d arena floats left over",
-			res.Steps(), cap(res.Times), len(res.arena))
+	if cap(res.Times) != res.Steps() {
+		t.Errorf("run of %d points reserved %d time slots", res.Steps(), cap(res.Times))
 	}
-	for _, steps := range []int{-1, maxReservedSteps + 1} {
-		if r := newResult(c, 2, steps); cap(r.Times) != 0 || len(r.arena) != 0 {
-			t.Errorf("newResult(steps=%d) reserved %d slots", steps, cap(r.Times))
+	for i, col := range res.cols {
+		if len(col) != res.Steps() || cap(col) != res.Steps() {
+			t.Errorf("unknown %d: %d samples in %d reserved slots, want %d", i, len(col), cap(col), res.Steps())
 		}
 	}
-	r := newResult(c, 2, 1)
+	for _, steps := range []int{-1, 0, MaxSteps + 1} {
+		if r := newResult(c, 2, steps, nil); cap(r.Times) != unknownSteps {
+			t.Errorf("newResult(steps=%d) reserved %d slots, want %d", steps, cap(r.Times), unknownSteps)
+		}
+	}
+	r := newResult(c, 2, 1, nil)
 	for k := 0; k < 3; k++ {
 		r.record(float64(k), []float64{float64(k), -float64(k)})
 	}
 	for k := 0; k < 3; k++ {
 		if r.At(k, 0) != float64(k) || r.At(k, 1) != -float64(k) {
-			t.Errorf("row %d = %v after growing past the reservation", k, r.values[k])
+			t.Errorf("step %d = %v, %v after growing past the reservation", k, r.At(k, 0), r.At(k, 1))
 		}
 	}
 }

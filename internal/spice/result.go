@@ -2,78 +2,115 @@ package spice
 
 import (
 	"fmt"
+	"slices"
 
 	"mcsm/internal/wave"
 )
 
-// Result holds the sampled solution of a transient run: every node voltage
-// and every auxiliary unknown at every accepted time point.
+// Result holds the sampled solution of a transient run: the recorded
+// unknowns (every node voltage and auxiliary unknown, unless the run was
+// asked to keep only some) at every accepted time point.
 type Result struct {
-	ckt    *Circuit
-	Times  []float64
-	values [][]float64 // values[k] is the unknown vector at Times[k]
-	arena  []float64   // backing store the rows of values slice into
+	ckt   *Circuit
+	Times []float64
+	// cols[i] holds unknown i at every recorded time point; it is nil
+	// when the run did not record unknown i.
+	cols [][]float64
+	keep []int // the recorded unknowns, in record order
 }
 
-// maxReservedSteps bounds the record newResult reserves up front. A longer
-// run (a mistaken or hostile dt) grows its record chunk by chunk instead,
-// so no window can demand one giant allocation before its first step.
-const maxReservedSteps = 1 << 20
+// MaxSteps bounds the time points of one fixed-step run: RunFrom rejects
+// a window/step pair that needs more, so a mistaken or hostile dt fails
+// fast instead of recording for hours. Every fixed-step run in the
+// repository stays far below it (a 4 ns window at 1 ps is 4,000 steps).
+const MaxSteps = 1 << 20
 
-// newResult returns a record for n unknowns with room reserved for steps
-// time points: one arena holds every row, so a run that records at most
-// steps points allocates nothing more. Pass 0 when the count is unknown
-// (adaptive stepping); record then grows the arena a chunk at a time.
-func newResult(c *Circuit, n, steps int) *Result {
-	if steps < 0 || steps > maxReservedSteps {
-		steps = 0
-	}
-	return &Result{
-		ckt:    c,
-		Times:  make([]float64, 0, steps),
-		values: make([][]float64, 0, steps),
-		arena:  make([]float64, steps*n),
-	}
-}
+// unknownSteps is the room an adaptive record reserves before it starts
+// doubling.
+const unknownSteps = 64
 
-// record appends a snapshot of x. Rows are carved out of the arena; when
-// it runs out a fresh 64-step chunk is allocated, so an unreserved run
-// costs O(steps/64) allocations instead of one per step. Rows never move
-// once handed out, so retained sub-slices in values stay valid as the
-// arena advances.
-func (r *Result) record(t float64, x []float64) {
-	if len(x) > 0 {
-		if len(r.arena) < len(x) {
-			r.arena = make([]float64, 64*len(x))
+// newResult returns a record of the keep unknowns (all n when keep is
+// empty) with room reserved for steps time points, so a run that records
+// at most that many allocates nothing more. Pass 0 when the count is
+// unknown (adaptive stepping); the record then doubles as it fills.
+func newResult(c *Circuit, n, steps int, keep []int) *Result {
+	if steps <= 0 || steps > MaxSteps {
+		steps = unknownSteps
+	}
+	if len(keep) == 0 {
+		keep = make([]int, n)
+		for i := range keep {
+			keep[i] = i
 		}
-		cp := r.arena[:len(x):len(x)]
-		r.arena = r.arena[len(x):]
-		copy(cp, x)
-		r.values = append(r.values, cp)
-	} else {
-		r.values = append(r.values, nil)
+	}
+	r := &Result{ckt: c, cols: make([][]float64, n), keep: keep}
+	r.reserve(steps)
+	return r
+}
+
+// reserve moves the record into storage for steps time points: one slice
+// for the times and one shared by the kept columns, each column capped
+// at its own share.
+func (r *Result) reserve(steps int) {
+	r.Times = append(make([]float64, 0, steps), r.Times...)
+	backing := make([]float64, len(r.keep)*steps)
+	for k, i := range r.keep {
+		r.cols[i] = append(backing[k*steps:k*steps:(k+1)*steps], r.cols[i]...)
+	}
+}
+
+// checkKeep validates a run's keep list against n unknowns.
+func checkKeep(keep []int, n int) error {
+	for k, i := range keep {
+		if i < 0 || i >= n || slices.Contains(keep[:k], i) {
+			return fmt.Errorf("spice: cannot record unknown %d of %d (out of range or listed twice)", i, n)
+		}
+	}
+	return nil
+}
+
+// record appends the kept entries of x at time t. Every column has the
+// times' capacity, so only reserve ever allocates.
+func (r *Result) record(t float64, x []float64) {
+	if len(r.Times) == cap(r.Times) {
+		r.reserve(2 * cap(r.Times))
 	}
 	r.Times = append(r.Times, t)
+	for _, i := range r.keep {
+		r.cols[i] = append(r.cols[i], x[i])
+	}
+}
+
+// col returns the recorded samples of unknown i. Asking for an unknown
+// the run did not keep is a programming error.
+func (r *Result) col(i int) []float64 {
+	if i < 0 || i >= len(r.cols) || r.cols[i] == nil {
+		panic(fmt.Sprintf("spice: unknown %d was not recorded by this run", i))
+	}
+	return r.cols[i]
+}
+
+// waveOf wraps recorded samples as a waveform sharing the record's
+// storage, capped so an append to either slice copies instead of
+// overwriting the record.
+func (r *Result) waveOf(v []float64) wave.Waveform {
+	n := len(r.Times)
+	return wave.Waveform{T: r.Times[:n:n], V: v[:n:n]}
 }
 
 // Steps returns the number of recorded time points.
 func (r *Result) Steps() int { return len(r.Times) }
 
 // At returns unknown i at step k.
-func (r *Result) At(k, i int) float64 { return r.values[k][i] }
+func (r *Result) At(k, i int) float64 { return r.col(i)[k] }
 
-// Wave returns the voltage waveform of a node.
+// Wave returns the voltage waveform of a node. The waveform shares the
+// record's samples (waveforms are immutable), so it costs no copy.
 func (r *Result) Wave(n Node) wave.Waveform {
-	v := make([]float64, len(r.Times))
-	if n != Ground {
-		idx := int(n) - 1
-		for k := range r.Times {
-			v[k] = r.values[k][idx]
-		}
+	if n == Ground {
+		return r.waveOf(make([]float64, len(r.Times)))
 	}
-	t := make([]float64, len(r.Times))
-	copy(t, r.Times)
-	return wave.Waveform{T: t, V: v}
+	return r.waveOf(r.col(int(n) - 1))
 }
 
 // WaveByName returns the voltage waveform of the named node.
@@ -93,30 +130,21 @@ func (r *Result) lookupNode(name string) (int, bool) {
 // AuxWave returns the waveform of an absolute auxiliary unknown index.
 // For a VSource v, use v.AuxIndex(); the value is the current flowing from
 // the positive terminal through the source (i.e. delivered into the source
-// by the circuit).
-func (r *Result) AuxWave(idx int) wave.Waveform {
-	t := make([]float64, len(r.Times))
-	copy(t, r.Times)
-	v := make([]float64, len(r.Times))
-	for k := range r.Times {
-		v[k] = r.values[k][idx]
-	}
-	return wave.Waveform{T: t, V: v}
-}
+// by the circuit). Like Wave, it shares the record's samples.
+func (r *Result) AuxWave(idx int) wave.Waveform { return r.waveOf(r.col(idx)) }
 
-// AuxWavePooled is AuxWave with the sample slices drawn from the wave
-// package's free-list pool. The caller owns the returned waveform and must
-// hand it back with wave.Release once done measuring — after that the
-// samples may be overwritten by an unrelated waveform. Use it only in
-// tight characterization loops that fully consume the waveform before the
-// next solve; anything retained beyond the loop should use AuxWave.
+// AuxWavePooled is AuxWave with the sample slices copied into slices
+// drawn from the wave package's free-list pool. The caller owns the
+// returned waveform and must hand it back with wave.Release once done
+// measuring — after that the samples may be overwritten by an unrelated
+// waveform. Use it only in tight characterization loops that fully
+// consume the waveform before the next solve; anything retained beyond
+// the loop should use AuxWave.
 func (r *Result) AuxWavePooled(idx int) wave.Waveform {
 	t := wave.GetSamples(len(r.Times))
 	copy(t, r.Times)
 	v := wave.GetSamples(len(r.Times))
-	for k := range r.Times {
-		v[k] = r.values[k][idx]
-	}
+	copy(v, r.col(idx))
 	return wave.Waveform{T: t, V: v}
 }
 
@@ -133,9 +161,11 @@ func (r *Result) Current(vsrcName string) (wave.Waveform, error) {
 // Final returns a copy of the last recorded unknown vector, usable as the
 // initial state of a follow-on RunFrom.
 func (r *Result) Final() []float64 {
-	last := r.values[len(r.values)-1]
-	cp := make([]float64, len(last))
-	copy(cp, last)
+	k := len(r.Times) - 1
+	cp := make([]float64, len(r.cols))
+	for i := range cp {
+		cp[i] = r.col(i)[k]
+	}
 	return cp
 }
 

@@ -1,5 +1,7 @@
 package spice
 
+//go:generate go run gen_solve.go
+
 import (
 	"errors"
 	"fmt"
@@ -110,9 +112,25 @@ func (s *System) Solve() ([]float64, error) {
 // two rounds of iterative refinement against the original matrix: without
 // refinement the ~1e10 condition number leaves µA-scale residuals that
 // stall Newton's line search at a false floor.
+//
+// The stage sizes (3 and 6 unknowns) run a straight-line kernel generated
+// from the same algorithm (solve_gen.go); every other size runs the
+// generic loops below, which also serve as the kernels' test oracle.
 func (s *System) SolveWith(ws *SolveWorkspace) ([]float64, error) {
 	n := s.N
 	ws.ensure(n)
+	switch n {
+	case 3:
+		return s.solve3(ws)
+	case 6:
+		return s.solve6(ws)
+	}
+	return s.solveGeneric(ws)
+}
+
+// solveGeneric is SolveWith's loop form for any n; ws is already sized.
+func (s *System) solveGeneric(ws *SolveWorkspace) ([]float64, error) {
+	n := s.N
 	copy(ws.af, s.A)
 	if err := ws.fact.factorize(n, ws.af); err != nil {
 		return nil, err
@@ -137,11 +155,23 @@ func (s *System) SolveWith(ws *SolveWorkspace) ([]float64, error) {
 	}
 	for i := range x {
 		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-			return nil, fmt.Errorf("%w: non-finite solution for %d unknowns (worst pivot %.3g at column %d)",
-				ErrSingular, n, ws.fact.minPivot, ws.fact.minPivotCol)
+			return nil, errNonFinite(n, ws.fact.minPivot, ws.fact.minPivotCol)
 		}
 	}
 	return x, nil
+}
+
+// errZeroPivot reports a factorization that found no usable pivot.
+func errZeroPivot(n int, max float64, col int) error {
+	return fmt.Errorf("%w: %d unknowns, numerically zero pivot %.3g at column %d",
+		ErrSingular, n, max, col)
+}
+
+// errNonFinite reports a solve whose solution came out NaN or infinite,
+// with the smallest pivot the factorization accepted.
+func errNonFinite(n int, minPivot float64, minPivotCol int) error {
+	return fmt.Errorf("%w: non-finite solution for %d unknowns (worst pivot %.3g at column %d)",
+		ErrSingular, n, minPivot, minPivotCol)
 }
 
 // lu is a row-equilibrated LU factorization with partial pivoting. Rows
@@ -198,8 +228,7 @@ func (f *lu) factorize(n int, a []float64) error {
 			}
 		}
 		if max < 1e-300 {
-			return fmt.Errorf("%w: %d unknowns, numerically zero pivot %.3g at column %d",
-				ErrSingular, n, max, col)
+			return errZeroPivot(n, max, col)
 		}
 		if max < f.minPivot {
 			f.minPivot, f.minPivotCol = max, col

@@ -7,6 +7,7 @@ import (
 
 	"mcsm/internal/cells"
 	"mcsm/internal/csm"
+	"mcsm/internal/spice"
 	"mcsm/internal/wave"
 )
 
@@ -113,6 +114,17 @@ func ResolveOptions(primary map[string]wave.Waveform, opt Options) Options {
 		opt.Horizon = last + 2e-9
 	}
 	return opt
+}
+
+// CheckWindow reports an analysis window that no fixed-step stage solve
+// could run: dt and the horizon (resolved like ResolveOptions does) must
+// give a positive step count of at most spice.MaxSteps. Callers check it
+// before characterizing models, so a request that asks for billions of
+// steps fails at once instead of after the setup.
+func CheckWindow(primary map[string]wave.Waveform, opt Options) error {
+	opt = ResolveOptions(primary, opt)
+	_, err := spice.FixedSteps(0, opt.Horizon, opt.Dt)
+	return err
 }
 
 // EvalStage evaluates the single instance at index idx: it gathers the
@@ -262,13 +274,10 @@ func StageLoad(nl *Netlist, models map[string]*csm.Model, fanouts map[string][][
 	return loads
 }
 
-// simulateStageWaves runs one implicit stage simulation over the window.
+// simulateStageWaves runs one implicit stage simulation over the window,
+// recording only the output waveform.
 func simulateStageWaves(model *csm.Model, inputs []wave.Waveform, load csm.Load, opt Options) (wave.Waveform, error) {
-	sr, err := csm.SimulateStage(model, inputs, load, 0, opt.Horizon, opt.Dt)
-	if err != nil {
-		return wave.Waveform{}, err
-	}
-	return sr.Out, nil
+	return csm.SimulateStageOut(model, inputs, load, 0, opt.Horizon, opt.Dt)
 }
 
 // simulateSIS applies the conventional SIS assumption to a stage with

@@ -28,6 +28,7 @@ import (
 	"mcsm/internal/cells"
 	"mcsm/internal/csm"
 	"mcsm/internal/engine"
+	"mcsm/internal/spice"
 	"mcsm/internal/wave"
 )
 
@@ -165,14 +166,18 @@ func (r *Runner) Sweep(cell string, grid Grid) (*Surface, error) {
 		return nil, fmt.Errorf("sweep: skew %g precedes the simulation start (input A switches at %g s; widen Config.TBase)",
 			grid.MinSkew(), r.cfg.TBase)
 	}
+	// One shared window for the whole grid: every waveform covers the
+	// worst-case (latest, slowest) event plus the settle time. A window
+	// no stage solve could step through fails before characterization.
+	tEnd := r.cfg.TBase + grid.MaxSkew() + grid.MaxSlew() + r.cfg.Settle
+	if _, err := spice.FixedSteps(0, tEnd, r.cfg.Dt); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
 	model, err := r.eng.Cache().Get(r.cfg.Tech, spec, engine.KindFor(spec), r.cfg.CharCfg)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: characterize %s: %w", cell, err)
 	}
 
-	// One shared window for the whole grid: every waveform covers the
-	// worst-case (latest, slowest) event plus the settle time.
-	tEnd := r.cfg.TBase + grid.MaxSkew() + grid.MaxSlew() + r.cfg.Settle
 	inRising := spec.NonControllingHigh // NAND family: inputs rise; NOR family: inputs fall
 
 	n := grid.Size()

@@ -277,3 +277,90 @@ func TestSameGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekReusedCursor: one cursor reused along random coordinate walks
+// — small steps that stay in a bracket, steps across breakpoints, jumps,
+// exact breakpoints, span ends, clamped and NaN coordinates — locates
+// every point exactly as a fresh cursor does. The reused cursor alternates
+// between a SameGrid pair and tables on other grids and ranks, so a
+// bracket remembered from one grid is tried on another.
+func TestSeekReusedCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		rank := 1 + rng.Intn(4)
+		axes := randomGrid(rng, rank, 6)
+		a, b := randomTable(rng, axes), randomTable(rng, axes)
+		other := randomTable(rng, randomGrid(rng, 1+rng.Intn(4), 6))
+		tables := []*Table{a, b, other}
+		var reused Cursor
+		pos := make([][]float64, len(tables)) // each table's walk position
+		for k, tb := range tables {
+			pos[k] = make([]float64, tb.Rank())
+			for i := range pos[k] {
+				pos[k][i] = probe(rng, tb.Axes[i].Points)
+			}
+		}
+		grad, want := make([]float64, MaxRank), make([]float64, MaxRank)
+		for q := 0; q < 300; q++ {
+			k := rng.Intn(len(tables))
+			tb, coords := tables[k], pos[k]
+			for i := range coords {
+				pts := tb.Axes[i].Points
+				span := pts[len(pts)-1] - pts[0] + 1
+				switch r := rng.Intn(10); {
+				case r < 5:
+					coords[i] += span * 0.02 * rng.NormFloat64()
+				case r < 7:
+					coords[i] = pts[rng.Intn(len(pts))]
+				case r < 9:
+					coords[i] = probe(rng, pts)
+				default:
+					if rng.Intn(4) == 0 {
+						coords[i] = math.NaN()
+					} else if coords[i] != coords[i] {
+						coords[i] = probe(rng, pts)
+					}
+				}
+			}
+			var fresh Cursor
+			tb.Seek(&reused, coords)
+			tb.Seek(&fresh, coords)
+			if reused.rank != fresh.rank || reused.size != fresh.size ||
+				reused.frac != fresh.frac || reused.width != fresh.width || reused.clamped != fresh.clamped {
+				// Compare through the bits so NaN fractions match NaN.
+				for i := 0; i < fresh.rank; i++ {
+					if !sameBits(reused.frac[i], fresh.frac[i]) || !sameBits(reused.width[i], fresh.width[i]) ||
+						reused.clamped[i] != fresh.clamped[i] {
+						t.Fatalf("axis %d at %v: reused cursor (frac %v, width %v, clamped %t), fresh (%v, %v, %t)",
+							i, coords, reused.frac[i], reused.width[i], reused.clamped[i], fresh.frac[i], fresh.width[i], fresh.clamped[i])
+					}
+				}
+			}
+			corners := 1 << fresh.rank
+			for c := 0; c < corners; c++ {
+				if reused.off[c] != fresh.off[c] || !sameBits(reused.w[c], fresh.w[c]) {
+					t.Fatalf("corner %d at %v: reused cursor (%d, %v), fresh (%d, %v)",
+						c, coords, reused.off[c], reused.w[c], fresh.off[c], fresh.w[c])
+				}
+			}
+			group := []*Table{tb}
+			if k < 2 {
+				group = tables[:2] // the SameGrid pair reads one cursor
+			}
+			for _, g := range group {
+				if got, w := g.Value(&reused), g.Value(&fresh); !sameBits(got, w) {
+					t.Fatalf("Value at %v: reused cursor %v, fresh %v", coords, got, w)
+				}
+				gv, wv := g.ValueGrad(&reused, grad), g.ValueGrad(&fresh, want)
+				if !sameBits(gv, wv) {
+					t.Fatalf("ValueGrad at %v: reused cursor %v, fresh %v", coords, gv, wv)
+				}
+				for i := 0; i < g.Rank(); i++ {
+					if !sameBits(grad[i], want[i]) {
+						t.Fatalf("grad[%d] at %v: reused cursor %v, fresh %v", i, coords, grad[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

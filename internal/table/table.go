@@ -169,6 +169,9 @@ type Cursor struct {
 	part   [MaxRank][maxCorners]float64
 	partOK bool
 	samp   [maxCorners]float64 // ValueGrad's gathered corner samples
+	// lo[i] is axis i's lower breakpoint index at the last Seek, the
+	// first bracket the next Seek tries on that axis.
+	lo [MaxRank]int
 }
 
 // maxCorners is the corner count of a MaxRank cell.
@@ -182,6 +185,13 @@ const maxCorners = 1 << MaxRank
 // the edges, and a single-point axis is constant. A NaN coordinate
 // poisons the cursor: every weight is NaN, so Value and every gradient
 // entry come out NaN instead of the lookup indexing out of range.
+//
+// A coordinate strictly inside the span first tries the bracket the
+// cursor found on that axis last time: if pts[lo] <= x < pts[lo+1], lo is
+// the only index with that property (the points strictly increase), so
+// it is exactly what the binary search would return. A cursor reused
+// along a trajectory — one Newton solve after another — mostly skips the
+// search.
 //
 // Corner c takes the upper breakpoint on axis i when bit i of c is set.
 // Its weight is the product of the per-axis factors (frac or 1−frac)
@@ -210,15 +220,19 @@ func (t *Table) Seek(cur *Cursor, coords []float64) {
 			lo, frac = n-2, 1
 		default:
 			// Largest lo with pts[lo] <= x; pts[0] < x < pts[n-1].
-			hi := n - 1
-			for hi-lo > 1 {
-				mid := int(uint(lo+hi) >> 1)
-				if pts[mid] <= x {
-					lo = mid
-				} else {
-					hi = mid
+			if lo = cur.lo[i]; lo >= n-1 || !(pts[lo] <= x && x < pts[lo+1]) {
+				lo = 0
+				hi := n - 1
+				for hi-lo > 1 {
+					mid := int(uint(lo+hi) >> 1)
+					if pts[mid] <= x {
+						lo = mid
+					} else {
+						hi = mid
+					}
 				}
 			}
+			cur.lo[i] = lo
 			frac = (x - pts[lo]) / (pts[lo+1] - pts[lo])
 			clamped = false
 		}

@@ -145,12 +145,54 @@ func (w Waveform) At(t float64) float64 {
 		return w.V[n-1]
 	}
 	// Binary search for the segment containing t.
-	i := sort.SearchFloat64s(w.T, t)
-	// w.T[i-1] < t <= w.T[i]
+	return w.lerp(sort.SearchFloat64s(w.T, t), t)
+}
+
+// lerp interpolates on segment i, where w.T[i-1] < t <= w.T[i].
+func (w Waveform) lerp(i int, t float64) float64 {
 	t0, t1 := w.T[i-1], w.T[i]
 	v0, v1 := w.V[i-1], w.V[i]
 	frac := (t - t0) / (t1 - t0)
 	return v0 + frac*(v1-v0)
+}
+
+// Cursor reads a waveform at times that mostly move forward, as a
+// transient run's sources do. It remembers the segment of the last
+// lookup and walks forward from it, so a run costs one pass over the
+// samples instead of one binary search per solve. At returns exactly
+// what Waveform.At returns: the walk finds the smallest i with
+// T[i] >= t, the index sort.SearchFloat64s finds, and a time before the
+// remembered segment (a DC solve, a second run) falls back to the search.
+type Cursor struct {
+	W Waveform
+	i int // segment of the last lookup; 0 before the first
+}
+
+// At evaluates the cursor's waveform at t like Waveform.At.
+func (c *Cursor) At(t float64) float64 {
+	w := c.W
+	n := len(w.T)
+	if n == 0 {
+		return 0
+	}
+	if t <= w.T[0] {
+		return w.V[0]
+	}
+	if t >= w.T[n-1] {
+		return w.V[n-1]
+	}
+	i := c.i
+	if i < 1 || i >= n || w.T[i-1] >= t {
+		i = sort.SearchFloat64s(w.T, t)
+	} else {
+		// w.T[i-1] < t, so the smallest index with T >= t is at or past i;
+		// w.T[n-1] > t stops the walk.
+		for w.T[i] < t {
+			i++
+		}
+	}
+	c.i = i
+	return w.lerp(i, t)
 }
 
 // Clone returns a deep copy of the waveform.
