@@ -14,6 +14,8 @@ package mcsm
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"math"
@@ -25,6 +27,9 @@ import (
 	"sync"
 	"testing"
 
+	"mcsm/internal/artifact"
+	"mcsm/internal/cells"
+	"mcsm/internal/csm"
 	"mcsm/internal/engine"
 	"mcsm/internal/graph"
 	"mcsm/internal/mc"
@@ -742,4 +747,72 @@ func TestGoldenNAND2Sweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.Golden(t, filepath.Join(goldenDir, "nand2_sweep.csv"), buf.Bytes())
+}
+
+// goldenModels are the characterizations whose bytes model_digests.json
+// pins: the report fixtures only visit the table cells their stages
+// reach, so a drift elsewhere in a model would pass them unseen. The set
+// covers every extraction branch of the exact path — SIS, MCSM with and
+// without the internal Miller tables, direct operating-point caps, the
+// MIS baseline — plus the FastConfig NAND2 MCSM the service's default
+// "fast" profile characterizes.
+var goldenModels = []struct {
+	name string
+	cell string
+	kind csm.Kind
+	cfg  csm.Config
+}{
+	{"coarse/INV/SIS-CSM", "INV", csm.KindSIS, csm.CoarseConfig()},
+	{"coarse/NAND2/MCSM", "NAND2", csm.KindMCSM, csm.CoarseConfig()},
+	{"coarse/NOR2/MCSM", "NOR2", csm.KindMCSM, csm.CoarseConfig()},
+	{"coarse-no-internal-miller/NAND2/MCSM", "NAND2", csm.KindMCSM, coarseWith(func(c *csm.Config) { c.NoInternalMiller = true })},
+	{"coarse-direct-caps/NAND2/MCSM", "NAND2", csm.KindMCSM, coarseWith(func(c *csm.Config) { c.DirectCaps = true })},
+	{"coarse/NOR2/MIS-baseline", "NOR2", csm.KindMISBaseline, csm.CoarseConfig()},
+	{"fast/NAND2/MCSM", "NAND2", csm.KindMCSM, csm.FastConfig()},
+}
+
+func coarseWith(edit func(*csm.Config)) csm.Config {
+	cfg := csm.CoarseConfig()
+	edit(&cfg)
+	return cfg
+}
+
+// TestGoldenModelDigests pins every table of the goldenModels
+// characterizations bit-for-bit: the SHA-256 of each model's binary
+// artifact (key hash 0), which frames every float64 of every table
+// exactly.
+func TestGoldenModelDigests(t *testing.T) {
+	digests := map[string]string{}
+	for _, gm := range goldenModels {
+		spec, err := cells.Get(gm.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := goldenEngine().Cache().Get(testutil.Tech(), spec, gm.kind, gm.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", gm.name, err)
+		}
+		b, err := artifact.Encode(m, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", gm.name, err)
+		}
+		sum := sha256.Sum256(b)
+		digests[gm.name] = hex.EncodeToString(sum[:])
+	}
+	path := filepath.Join(goldenDir, "model_digests.json")
+	if !*testutil.UpdateGolden {
+		var want map[string]string
+		if raw, err := os.ReadFile(path); err == nil && json.Unmarshal(raw, &want) == nil {
+			for _, gm := range goldenModels {
+				if digests[gm.name] != want[gm.name] {
+					t.Errorf("%s: model bytes drifted (sha256 %s, fixture %s)", gm.name, digests[gm.name], want[gm.name])
+				}
+			}
+		}
+	}
+	body, err := json.MarshalIndent(digests, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.Golden(t, path, append(body, '\n'))
 }
