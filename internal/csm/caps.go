@@ -6,7 +6,6 @@ import (
 
 	"mcsm/internal/spice"
 	"mcsm/internal/table"
-	"mcsm/internal/wave"
 )
 
 // capFloor is the minimum stored capacitance. Lumped subtraction (e.g.
@@ -17,39 +16,27 @@ const capFloor = 1e-19
 // settleTime is the flat interval before each extraction ramp begins.
 const settleTime = 20e-12
 
-// forEachCombo iterates every index combination over axes, holding axis
-// `skip` out of the iteration. It fills coords[d] for all d ≠ skip before
-// invoking fn. fn may set coords[skip] freely.
-func forEachCombo(axes []table.Axis, skip int, fn func(idx []int, coords []float64) error) error {
-	rank := len(axes)
-	idx := make([]int, rank)
-	coords := make([]float64, rank)
-	var rec func(d int) error
-	rec = func(d int) error {
-		if d == rank {
-			return fn(idx, coords)
-		}
-		if d == skip {
-			return rec(d + 1)
-		}
-		for i := range axes[d].Points {
-			idx[d] = i
-			coords[d] = axes[d].Points[i]
-			if err := rec(d + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
+// capMeasure is one capacitance table a ramp fills: the model axis whose
+// source current it reads and that current's DC value on the cap grid.
+type capMeasure struct {
+	t    *table.Table
+	axis int
+	dc   *table.Table
 }
 
-// fillCapsTransient runs the paper's §3.3 capacitance extraction: for each
-// capacitance, saturated ramps are applied to the corresponding node while
-// all other model nodes are held at DC grid values; the monitored source
-// current, minus the exact DC component, divided by the ramp slope, yields
-// the capacitance. Values are averaged over the configured slopes.
-func fillCapsTransient(m *Model, h *harness, cfg Config) error {
+// fillCapsTransient runs the paper's §3.3 capacitance extraction:
+// saturated ramps are applied to one model node while all other model
+// nodes are held at DC grid values; a monitored source current, minus the
+// exact DC component, divided by the ramp slope, yields a capacitance.
+// Values are averaged over the configured slopes.
+//
+// One ramp yields the current of every source, so each node is ramped
+// once and fills every table that reads its ramp: an input fills its
+// Miller table Cm (output source) and, with the internal Miller
+// extension, CmN (internal source); the output fills the total output
+// capacitance and CmNO; the internal node fills CN. The DC currents that
+// the measurements subtract are solved once per cap-grid point, up front.
+func fillCapsTransient(m *Model, hs []*harness, cfg Config) error {
 	axes := makeAxes(m, cfg.GridCap, 0)
 	nIn := len(m.Inputs)
 	outAxis := len(axes) - 1
@@ -57,44 +44,47 @@ func fillCapsTransient(m *Model, h *harness, cfg Config) error {
 	if m.Kind == KindMCSM {
 		intAxis = nIn
 	}
-
-	// Miller capacitances: ramp each input, watch the output source.
-	m.Cm = make([]*table.Table, nIn)
-	var err error
-	for i := 0; i < nIn; i++ {
-		t, err := extractCapTable(m, h, cfg, axes, i, h.srcOut, dcIo)
-		if err != nil {
-			return fmt.Errorf("csm: Cm[%s]: %w", m.Inputs[i], err)
-		}
-		m.Cm[i] = t
-	}
-
-	// Internal-node Miller extension: ramp inputs/output, watch the N
-	// source (enabled unless the paper's §3.2 simplification is requested).
 	withNMiller := m.Kind == KindMCSM && !cfg.NoInternalMiller
+
+	dcIo, dcIN, err := dcTables(m, hs, axes)
+	if err != nil {
+		return fmt.Errorf("csm: cap grid: %w", err)
+	}
+	newTable := func() *table.Table { return table.MustNew(axes...) }
+	// ramped node axis -> the tables its ramp fills
+	passes := make([][]capMeasure, len(axes))
+	m.Cm = make([]*table.Table, nIn)
 	if withNMiller {
 		m.CmN = make([]*table.Table, nIn)
-		for i := 0; i < nIn; i++ {
-			t, err := extractCapTable(m, h, cfg, axes, i, h.srcN, dcIN)
-			if err != nil {
-				return fmt.Errorf("csm: CmN[%s]: %w", m.Inputs[i], err)
-			}
-			m.CmN[i] = t
+	}
+	for i := 0; i < nIn; i++ {
+		m.Cm[i] = newTable()
+		passes[i] = []capMeasure{{m.Cm[i], outAxis, dcIo}}
+		if withNMiller {
+			m.CmN[i] = newTable()
+			passes[i] = append(passes[i], capMeasure{m.CmN[i], intAxis, dcIN})
 		}
-		cmno, err := extractCapTable(m, h, cfg, axes, outAxis, h.srcN, dcIN)
-		if err != nil {
-			return fmt.Errorf("csm: CmNO: %w", err)
+	}
+	coTotal := newTable()
+	passes[outAxis] = []capMeasure{{coTotal, outAxis, dcIo}}
+	if withNMiller {
+		m.CmNO = newTable()
+		passes[outAxis] = append(passes[outAxis], capMeasure{m.CmNO, intAxis, dcIN})
+	}
+	var cn *table.Table
+	if m.Kind == KindMCSM {
+		cn = newTable()
+		passes[intAxis] = []capMeasure{{cn, intAxis, dcIN}}
+	}
+	for r, meas := range passes {
+		if err := rampPass(m, hs, cfg, axes, r, meas); err != nil {
+			return fmt.Errorf("csm: %s ramps: %w", axes[r].Name, err)
 		}
-		m.CmNO = cmno
 	}
 
-	// Total output capacitance: ramp the output, watch the output source.
-	coTotal, err := extractCapTable(m, h, cfg, axes, outAxis, h.srcOut, dcIo)
-	if err != nil {
-		return fmt.Errorf("csm: Co: %w", err)
-	}
-	// The ramp sees every capacitance attached to the output, including the
-	// Miller couplings; the model applies those separately, so subtract.
+	// The output ramp sees every capacitance attached to the output,
+	// including the Miller couplings; the model applies those separately,
+	// so subtract.
 	co := coTotal
 	for _, cm := range m.Cm {
 		co, err = table.Combine(co, cm, func(total, miller float64) float64 { return total - miller })
@@ -110,15 +100,11 @@ func fillCapsTransient(m *Model, h *harness, cfg Config) error {
 	}
 	m.Co = co.Map(func(v float64) float64 { return math.Max(v, capFloor) })
 
-	// Internal node capacitance: ramp N, watch the N source. Couplings of N
-	// lump into CN except those carried as explicit branches (the CmN/CmNO
-	// extension); without the extension everything folds into CN, matching
-	// the paper's §3.2 lumping.
-	if m.Kind == KindMCSM {
-		cn, err := extractCapTable(m, h, cfg, axes, intAxis, h.srcN, dcIN)
-		if err != nil {
-			return fmt.Errorf("csm: CN: %w", err)
-		}
+	// Internal node capacitance: couplings of N lump into CN except those
+	// carried as explicit branches (the CmN/CmNO extension); without the
+	// extension everything folds into CN, matching the paper's §3.2
+	// lumping.
+	if cn != nil {
 		if withNMiller {
 			for _, cmn := range m.CmN {
 				cn, err = table.Combine(cn, cmn, func(total, miller float64) float64 { return total - miller })
@@ -136,112 +122,72 @@ func fillCapsTransient(m *Model, h *harness, cfg Config) error {
 	return nil
 }
 
-// dcSel selects which DC current is subtracted from a ramp measurement.
-type dcSel int
-
-const (
-	dcNone dcSel = iota // input-pin measurements carry no DC component
-	dcIo                // subtract the output source's DC current
-	dcIN                // subtract the internal-node source's DC current
-)
-
-// extractCapTable sweeps all non-ramped axes over the cap grid and, per
-// combination, runs one ramp per configured slope on rampAxis, measuring at
-// the given source. The selected DC current at the sampled coordinates is
-// removed via exact per-point DC solves.
-func extractCapTable(m *Model, h *harness, cfg Config, axes []table.Axis, rampAxis int, measure *spice.VSource, sel dcSel) (*table.Table, error) {
-	t, err := table.New(axes...)
-	if err != nil {
-		return nil, err
-	}
-	rampPts := axes[rampAxis].Points
+// rampPass ramps node r once per configured slope at every combination of
+// the other axes' cap-grid values (one shard unit per combination) and
+// fills each measured table along r's axis.
+func rampPass(m *Model, hs []*harness, cfg Config, axes []table.Axis, r int, meas []capMeasure) error {
+	rampPts := axes[r].Points
 	lo, hi := rampPts[0], rampPts[len(rampPts)-1]
 	pad := (hi - lo) / float64(len(rampPts)-1)
-
-	// Identify the ramped source.
-	nIn := len(m.Inputs)
-	var src *spice.VSource
-	var stim *spice.SetDC
-	switch {
-	case rampAxis < nIn:
-		src, stim = h.srcIn[rampAxis], h.stimIn[rampAxis]
-	case m.Kind == KindMCSM && rampAxis == nIn:
-		src, stim = h.srcN, h.stimN
-	default:
-		src, stim = h.srcOut, h.stimOut
-	}
-
-	dcAt := make([]float64, len(rampPts))
-	acc := make([]float64, len(rampPts))
-
-	err = forEachCombo(axes, rampAxis, func(idx []int, coords []float64) error {
-		// Exact DC currents at each sample point of the ramped axis.
-		for k, v := range rampPts {
-			coords[rampAxis] = v
-			vin, vn, vo := splitCoords(m, coords)
-			h.setPoint(vin, vn, vo)
-			io, iN, err := h.dcCurrents()
-			if err != nil {
-				return fmt.Errorf("dc subtraction at %v: %w", coords, err)
-			}
-			switch sel {
-			case dcIo:
-				dcAt[k] = io
-			case dcIN:
-				dcAt[k] = iN
-			default:
-				dcAt[k] = 0
-			}
+	return shard(len(hs), combos(axes, r), func(w, u int) error {
+		h := hs[w]
+		idx := make([]int, len(axes))
+		coords := make([]float64, len(axes))
+		combo(axes, r, u, idx, coords)
+		keep := make([]int, len(meas))
+		for j, ms := range meas {
+			src, _ := h.source(ms.axis)
+			keep[j] = src.AuxIndex()
 		}
-		for k := range acc {
-			acc[k] = 0
-		}
-		// One transient per slope; park the DC point mid-span for the
-		// non-ramped value of the ramped node before the ramp takes over.
-		coords[rampAxis] = lo
+		acc := make([]float64, len(meas)*len(rampPts))
+
+		// Park the DC point at the low end of the ramped span; the ramp
+		// stimulus takes over the ramped source for the run.
+		coords[r] = lo
 		vin, vn, vo := splitCoords(m, coords)
 		h.setPoint(vin, vn, vo)
 		for _, slew := range cfg.SlewTimes {
 			slope := (hi - lo) / slew
-			iw, timeOf, err := h.runRamp(rampSpec{
-				src: src, stim: stim,
-				lo: lo, hi: hi, pad: pad,
+			res, timeOf, err := h.runRamp(rampSpec{
+				axis: r, lo: lo, hi: hi, pad: pad,
 				slope: slope, tFlat: settleTime,
-			}, measure, cfg.TranDt)
+			}, cfg.TranDt, keep...)
 			if err != nil {
 				return err
 			}
-			// Sign convention: the monitored source reads the current the
-			// cell injects into its node. Ramping a *different* node drives
-			// coupling current into the monitored node (+C·s); ramping the
-			// monitored node itself makes its own capacitances draw charge
-			// *out* of it (−C·s).
-			sign := 1.0
-			if src == measure {
-				sign = -1.0
+			for j, ms := range meas {
+				// Sign convention: a monitored source reads the current the
+				// cell injects into its node. Ramping a *different* node
+				// drives coupling current into the monitored node (+C·s);
+				// ramping the monitored node itself makes its own
+				// capacitances draw charge *out* of it (−C·s).
+				sign := 1.0
+				if ms.axis == r {
+					sign = -1.0
+				}
+				iw := res.AuxWave(keep[j])
+				for k, v := range rampPts {
+					idx[r] = k
+					iCap := iw.At(timeOf(v)) - ms.dc.Get(idx...)
+					acc[j*len(rampPts)+k] += sign * iCap / slope
+				}
 			}
-			for k, v := range rampPts {
-				iCap := iw.At(timeOf(v)) - dcAt[k]
-				acc[k] += sign * iCap / slope
-			}
-			wave.Release(&iw)
 		}
-		for k := range rampPts {
-			idx[rampAxis] = k
-			t.Set(math.Max(acc[k]/float64(len(cfg.SlewTimes)), 0), idx...)
+		for j, ms := range meas {
+			for k := range rampPts {
+				idx[r] = k
+				ms.t.Set(math.Max(acc[j*len(rampPts)+k]/float64(len(cfg.SlewTimes)), 0), idx...)
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // fillCapsDirect computes the lumped capacitances by summing the device
 // terminal capacitances at each DC operating point — the fast path and the
-// EXP-A2 comparison partner for the transient procedure.
-func fillCapsDirect(m *Model, h *harness, cfg Config) error {
+// EXP-A2 comparison partner for the transient procedure. Each cap-grid
+// point is one shard unit.
+func fillCapsDirect(m *Model, hs []*harness, cfg Config) error {
 	axes := makeAxes(m, cfg.GridCap, 0)
 	nIn := len(m.Inputs)
 	var err error
@@ -274,45 +220,42 @@ func fillCapsDirect(m *Model, h *harness, cfg Config) error {
 		}
 	}
 
-	idxBuf := make([]int, len(axes))
-	var sweepErr error
-	m.Co.Fill(func(coords []float64) float64 {
-		if sweepErr != nil {
-			return capFloor
-		}
+	return shard(len(hs), combos(axes, -1), func(w, u int) error {
+		h := hs[w]
+		idx := make([]int, len(axes))
+		coords := make([]float64, len(axes))
+		combo(axes, -1, u, idx, coords)
 		vin, vn, vo := splitCoords(m, coords)
 		h.setPoint(vin, vn, vo)
 		x, err := h.dcSolve()
 		if err != nil {
-			sweepErr = fmt.Errorf("csm: direct caps DC at %v: %w", coords, err)
-			return capFloor
+			return fmt.Errorf("csm: direct caps DC at %v: %w", coords, err)
 		}
 		lump := lumpDeviceCaps(h, x)
-		copy(idxBuf, indicesOf(m.Co, coords))
 		var sumInN float64
 		for i := range m.Cm {
-			m.Cm[i].Set(lump.inOut[i], idxBuf...)
+			m.Cm[i].Set(lump.inOut[i], idx...)
 			sumInN += lump.inN[i]
 		}
 		co := lump.outStatic
 		if withNMiller {
 			for i := range m.CmN {
-				m.CmN[i].Set(lump.inN[i], idxBuf...)
+				m.CmN[i].Set(lump.inN[i], idx...)
 			}
-			m.CmNO.Set(lump.outN, idxBuf...)
-			m.CN.Set(math.Max(lump.nStatic, capFloor), idxBuf...)
+			m.CmNO.Set(lump.outN, idx...)
+			m.CN.Set(math.Max(lump.nStatic, capFloor), idx...)
 		} else {
 			// The paper's lumping: all N couplings fold into CN; the N-Out
 			// coupling additionally loads the output, exactly as the
 			// transient extraction measures it.
 			co += lump.outN
 			if m.CN != nil {
-				m.CN.Set(math.Max(lump.nStatic+lump.outN+sumInN, capFloor), idxBuf...)
+				m.CN.Set(math.Max(lump.nStatic+lump.outN+sumInN, capFloor), idx...)
 			}
 		}
-		return math.Max(co, capFloor)
+		m.Co.Set(math.Max(co, capFloor), idx...)
+		return nil
 	})
-	return sweepErr
 }
 
 // lumped holds raw pairwise capacitance sums at one operating point,

@@ -2,6 +2,7 @@ package csm
 
 import (
 	"fmt"
+	"runtime"
 
 	"mcsm/internal/cells"
 	"mcsm/internal/table"
@@ -20,8 +21,22 @@ import (
 //     the internal node left free, averaged over the secondary grid, and
 //     reduced to input-voltage dependence only (§3.3's practicality
 //     argument).
+//
+// The independent units of each step (DC grid rows, ramp combinations,
+// receiver combinations) run on runtime.GOMAXPROCS(0) workers, each with
+// its own transistor-level bench; the model is bit-identical at any
+// worker count (see shard). Fast mode chains warm starts through the
+// visit order, so it runs on one worker.
 func Characterize(tech cells.Tech, spec cells.Spec, kind Kind, cfg Config) (*Model, error) {
+	return characterize(tech, spec, kind, cfg, runtime.GOMAXPROCS(0))
+}
+
+// characterize is Characterize on the given number of shards.
+func characterize(tech cells.Tech, spec cells.Spec, kind Kind, cfg Config, shards int) (*Model, error) {
 	cfg = cfg.withDefaults(tech.Vdd)
+	if cfg.Fast || shards < 1 {
+		shards = 1
+	}
 
 	inputs := spec.ModelInputs
 	if kind == KindSIS {
@@ -46,28 +61,27 @@ func Characterize(tech cells.Tech, spec cells.Spec, kind Kind, cfg Config) (*Mod
 		m.Internal = spec.Internal
 	}
 
-	// One shared bench serves the whole current+capacitance procedure: the
-	// circuit/engine pair is built once, not once per table. Every solve on
-	// it is self-contained (DC inits from scratch in exact mode, transient
-	// runs reset capacitor histories), so sharing is bit-neutral for the
-	// golden-pinned exact path while letting fast mode chain warm starts
-	// across the grid.
-	h, err := newHarness(tech, spec, inputs, kind == KindMCSM, cfg.Fast)
+	// Each shard keeps one bench for the whole current+capacitance
+	// procedure: the circuit/engine pair is built once per worker, not once
+	// per table. Every exact-path solve on it is self-contained, so which
+	// bench runs a unit is bit-neutral, while fast mode's single bench
+	// chains warm starts across the grid.
+	hs, err := newHarnesses(shards, tech, spec, inputs, kind == KindMCSM, cfg.Fast)
 	if err != nil {
 		return nil, err
 	}
-	if err := fillCurrents(m, h, cfg); err != nil {
+	if m.Io, m.IN, err = dcTables(m, hs, makeAxes(m, cfg.GridCurrent, cfg.GridInternal)); err != nil {
 		return nil, err
 	}
 	if cfg.DirectCaps {
-		err = fillCapsDirect(m, h, cfg)
+		err = fillCapsDirect(m, hs, cfg)
 	} else {
-		err = fillCapsTransient(m, h, cfg)
+		err = fillCapsTransient(m, hs, cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := fillReceiverCaps(m, tech, spec, cfg); err != nil {
+	if err := fillReceiverCaps(m, tech, spec, cfg, shards); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {
@@ -150,27 +164,55 @@ func splitCoords(m *Model, coords []float64) (vin []float64, vn, vo float64) {
 	return vin, vn, vo
 }
 
-// fillCurrents sweeps the DC grid and fills Io (and IN for MCSM). The
-// sweep is row-batched against the shared bench: the output axis is the
-// innermost loop, so all grid rows of one sweep variable run in a single
-// engine setup, and — in fast mode — every solve warm-starts Newton from
-// its grid neighbor one output increment away (the operating points
-// differ by a fraction of Vdd, so the warm start converges in a couple of
-// iterations instead of a full homotopy ladder).
-func fillCurrents(m *Model, h *harness, cfg Config) error {
-	io, err := table.New(makeAxes(m, cfg.GridCurrent, cfg.GridInternal)...)
-	if err != nil {
-		return err
-	}
-	var iN *table.Table
-	if m.Kind == KindMCSM {
-		if iN, err = table.New(makeAxes(m, cfg.GridCurrent, cfg.GridInternal)...); err != nil {
-			return err
+// combos counts the index combinations over axes with axis skip held out
+// (skip < 0 holds none out).
+func combos(axes []table.Axis, skip int) int {
+	n := 1
+	for d, a := range axes {
+		if d != skip {
+			n *= len(a.Points)
 		}
 	}
-	axes := io.Axes
+	return n
+}
+
+// combo decodes unit u of combos(axes, skip) into idx and coords for every
+// axis but skip, in row-major order: the last axis varies fastest, as in
+// table storage. idx[skip] and coords[skip] are left for the caller.
+func combo(axes []table.Axis, skip, u int, idx []int, coords []float64) {
+	for d := len(axes) - 1; d >= 0; d-- {
+		if d == skip {
+			continue
+		}
+		n := len(axes[d].Points)
+		idx[d] = u % n
+		coords[d] = axes[d].Points[idx[d]]
+		u /= n
+	}
+}
+
+// dcTables sweeps the DC grid over axes and returns the current the cell
+// injects into the output (Io) and, for MCSM, into the internal node
+// (IN). Each unit is one grid row along the output axis, the innermost
+// loop, so in fast mode every solve warm-starts Newton from its neighbor
+// one output increment away (the operating points differ by a fraction of
+// Vdd, so the warm start converges in a couple of iterations instead of a
+// full homotopy ladder).
+func dcTables(m *Model, hs []*harness, axes []table.Axis) (io, iN *table.Table, err error) {
+	if io, err = table.New(axes...); err != nil {
+		return nil, nil, err
+	}
+	if m.Kind == KindMCSM {
+		if iN, err = table.New(axes...); err != nil {
+			return nil, nil, err
+		}
+	}
 	outAxis := len(axes) - 1
-	err = forEachCombo(axes, outAxis, func(idx []int, coords []float64) error {
+	err = shard(len(hs), combos(axes, outAxis), func(w, u int) error {
+		h := hs[w]
+		idx := make([]int, len(axes))
+		coords := make([]float64, len(axes))
+		combo(axes, outAxis, u, idx, coords)
 		for k, vo := range axes[outAxis].Points {
 			coords[outAxis] = vo
 			idx[outAxis] = k
@@ -188,33 +230,7 @@ func fillCurrents(m *Model, h *harness, cfg Config) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	m.Io = io
-	m.IN = iN
-	return nil
-}
-
-// indicesOf locates exact grid indices for a coordinate vector produced by
-// Table.Fill (coordinates are exact axis points).
-func indicesOf(t *table.Table, coords []float64) []int {
-	idx := make([]int, len(coords))
-	for d, c := range coords {
-		pts := t.Axes[d].Points
-		best := 0
-		for i, p := range pts {
-			if abs(p-c) < abs(pts[best]-c) {
-				best = i
-			}
-		}
-		idx[d] = best
-	}
-	return idx
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return io, iN, nil
 }

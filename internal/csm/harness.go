@@ -3,6 +3,8 @@ package csm
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"mcsm/internal/cells"
 	"mcsm/internal/spice"
@@ -121,6 +123,83 @@ func newHarness(tech cells.Tech, spec cells.Spec, modelInputs []string, pinInter
 	return h, nil
 }
 
+// newHarnesses builds one bench per shard (see newHarness): a worker owns
+// its bench for the whole characterization, so no circuit or engine state
+// is ever shared between goroutines.
+func newHarnesses(shards int, tech cells.Tech, spec cells.Spec, modelInputs []string, pinInternal, fast bool) ([]*harness, error) {
+	hs := make([]*harness, shards)
+	for w := range hs {
+		h, err := newHarness(tech, spec, modelInputs, pinInternal, fast)
+		if err != nil {
+			return nil, err
+		}
+		hs[w] = h
+	}
+	return hs, nil
+}
+
+// failUnit, when set by a test, runs before every unit shard hands out
+// and fails the unit with its error.
+var failUnit func(u int) error
+
+// shard runs fn(w, u) for every unit u in [0, n) on one goroutine per
+// harness worker w (at most n of them). Units are handed out in index
+// order, so one worker is exactly the serial loop over the units.
+//
+// Units must be independent: the exact path's are, because every DC
+// solve starts from DCAt's initial guess and every ramp from its own DC
+// solve with reset capacitor histories, so a unit's result depends only
+// on its set point, never on which harness ran it or what ran before.
+// Results go into caller-owned slots indexed by u; a caller that sums
+// across units reduces those slots in unit order afterwards.
+//
+// On failure shard returns the error of the lowest failing unit — the
+// one the serial loop stops at — so the error text never depends on
+// scheduling (a ModelCache caches it). Once a failure is recorded no
+// worker starts a unit above it; units below it still run, as one of
+// them may fail too. Every worker has exited when shard returns.
+func shard(workers, n int, fn func(w, u int) error) error {
+	var (
+		next    atomic.Int64
+		mu      sync.Mutex
+		failAt  = n
+		failErr error
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < workers && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				u := int(next.Add(1) - 1)
+				mu.Lock()
+				stop := u >= failAt
+				mu.Unlock()
+				if stop {
+					return
+				}
+				var err error
+				if failUnit != nil {
+					err = failUnit(u)
+				}
+				if err == nil {
+					err = fn(w, u)
+				}
+				if err != nil {
+					mu.Lock()
+					if u < failAt {
+						failAt, failErr = u, err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return failErr
+}
+
 // dcSolve computes the operating point at the current stimulus settings.
 // In fast mode Newton warm-starts from the previous point's solution —
 // neighboring sweep points differ by one grid increment — and the result
@@ -143,6 +222,19 @@ func (h *harness) dcSolve() ([]float64, error) {
 	}
 	h.warm = x
 	return x, nil
+}
+
+// source returns the sweep source pinning model axis a (the modeled
+// inputs, then the internal node when it is pinned, then the output) and
+// the DC stimulus it holds between ramps.
+func (h *harness) source(a int) (*spice.VSource, *spice.SetDC) {
+	switch {
+	case a < len(h.srcIn):
+		return h.srcIn[a], h.stimIn[a]
+	case a == len(h.srcIn) && h.srcN != nil:
+		return h.srcN, h.stimN
+	}
+	return h.srcOut, h.stimOut
 }
 
 // setPoint assigns the DC sweep values. vn is ignored when the internal
@@ -173,44 +265,41 @@ func (h *harness) dcCurrents() (io, in float64, err error) {
 	return io, in, nil
 }
 
-// rampSpec describes one capacitance-extraction transient: the source being
-// ramped, the span it covers, and the sweep timing.
+// rampSpec describes one capacitance-extraction transient: the model axis
+// whose source is ramped, the span it covers, and the sweep timing.
 type rampSpec struct {
-	src    *spice.VSource
-	stim   *spice.SetDC // restored after the run
-	lo, hi float64      // table axis span to sample
-	pad    float64      // extra drive beyond the span so samples sit on constant slope
-	slope  float64      // V/s
-	tFlat  float64      // settle time before the ramp starts
+	axis   int     // ramped model axis (see harness.source)
+	lo, hi float64 // table axis span to sample
+	pad    float64 // extra drive beyond the span so samples sit on constant slope
+	slope  float64 // V/s
+	tFlat  float64 // settle time before the ramp starts
 }
 
-// runRamp performs the transient, measures the named source's branch
-// current, and returns the measurement result plus the time at which the
-// ramp crosses voltage v. The returned waveform's samples come from the
-// wave pool — the caller must wave.Release it after measuring.
-func (h *harness) runRamp(rs rampSpec, measure *spice.VSource, dt float64) (iw wave.Waveform, timeOf func(v float64) float64, err error) {
+// runRamp performs the transient and returns its record plus the time at
+// which the ramp crosses voltage v. keep lists the unknowns the caller
+// reads (the branch currents it measures); the fast path's adaptive run
+// records every unknown.
+func (h *harness) runRamp(rs rampSpec, dt float64, keep ...int) (res *spice.Result, timeOf func(v float64) float64, err error) {
 	loPad := rs.lo - rs.pad
 	hiPad := rs.hi + rs.pad
 	duration := (hiPad - loPad) / rs.slope
 	end := rs.tFlat + duration + rs.tFlat
-	ramp := wave.SaturatedRamp(loPad, hiPad, rs.tFlat, duration, end)
-	rs.src.SetStimulus(ramp)
-	defer rs.src.SetStimulus(rs.stim)
+	src, stim := h.source(rs.axis)
+	src.SetStimulus(wave.SaturatedRamp(loPad, hiPad, rs.tFlat, duration, end))
+	defer src.SetStimulus(stim)
 
-	var res *spice.Result
 	if h.fast {
 		res, err = h.runRampFast(end, dt)
 	} else {
-		res, err = h.eng.Run(0, end, dt)
+		res, err = h.eng.Run(0, end, dt, keep...)
 	}
 	if err != nil {
-		return wave.Waveform{}, nil, fmt.Errorf("csm: ramp extraction: %w", err)
+		return nil, nil, fmt.Errorf("csm: ramp extraction: %w", err)
 	}
-	iw = res.AuxWavePooled(measure.AuxIndex())
 	timeOf = func(v float64) float64 {
 		return rs.tFlat + (v-loPad)/rs.slope
 	}
-	return iw, timeOf, nil
+	return res, timeOf, nil
 }
 
 // runRampFast is the Config.Fast transient: a warm-started DC solve

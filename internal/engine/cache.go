@@ -53,6 +53,7 @@ type ModelCache struct {
 	jsonReloads   int64         // spill reloads served by the legacy JSON fallback
 	characterized int64         // misses that ran the full SPICE-backed characterization
 	reloadHist    obs.Histogram // latency of successful spill reloads (disk → validated model)
+	charHist      obs.Histogram // duration of every csm.Characterize call, failed ones included
 }
 
 type cacheEntry struct {
@@ -194,7 +195,9 @@ func (c *ModelCache) build(key string, tech cells.Tech, spec cells.Spec, kind cs
 			c.reject(jsonPath, err)
 		}
 	}
+	start := time.Now()
 	m, err := csm.Characterize(tech, spec, kind, cfg)
+	c.charHist.ObserveSince(start)
 	c.mu.Lock()
 	c.characterized++
 	c.mu.Unlock()
@@ -295,4 +298,11 @@ func (c *ModelCache) Stats() CacheStats {
 // means no reload has happened yet.
 func (c *ModelCache) ReloadLatency() obs.HistSnapshot {
 	return c.reloadHist.Snapshot()
+}
+
+// CharacterizeLatency snapshots the histogram of characterization times:
+// one sample per csm.Characterize call the cache made, the cost a cold
+// request for a new cell or profile pays.
+func (c *ModelCache) CharacterizeLatency() obs.HistSnapshot {
+	return c.charHist.Snapshot()
 }

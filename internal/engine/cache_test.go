@@ -143,6 +143,10 @@ func TestModelCacheSpill(t *testing.T) {
 	if lat := c2.ReloadLatency(); lat.Count != 1 {
 		t.Errorf("reload latency count = %d, want 1", lat.Count)
 	}
+	// Only the first cache characterized, and timed it.
+	if n1, n2 := c1.CharacterizeLatency().Count, c2.CharacterizeLatency().Count; n1 != 1 || n2 != 0 {
+		t.Errorf("characterization latency counts = %d, %d, want 1, 0", n1, n2)
+	}
 	if m2.Cell != m1.Cell || m2.Vdd != m1.Vdd || m2.Kind != m1.Kind {
 		t.Errorf("reloaded model differs: %s/%v vs %s/%v", m2.Cell, m2.Kind, m1.Cell, m1.Kind)
 	}

@@ -195,6 +195,9 @@ type LatencyMetrics struct {
 	// ModelReloads times model-cache spill reloads (disk artifact →
 	// validated in-memory model), the cost the binary format attacks.
 	ModelReloads obs.HistSnapshot `json:"model_reloads"`
+	// ModelCharacterizations times the model cache's characterizations,
+	// the seconds a cold request for a new cell or profile waits on.
+	ModelCharacterizations obs.HistSnapshot `json:"model_characterizations"`
 }
 
 // Metrics is the GET /metrics response: effectiveness of all three
@@ -296,10 +299,11 @@ func (s *Server) Snapshot() Metrics {
 		StageEvals:      s.eng.StageEvals(),
 		SweepPointEvals: s.metrics.sweepPoints.Load(),
 		Latency: LatencyMetrics{
-			Endpoints:    make(map[string]obs.HistSnapshot, len(endpointNames)),
-			Backends:     make(map[string]obs.HistSnapshot, len(backendNames)),
-			StageEvals:   s.eng.StageHist().Snapshot(),
-			ModelReloads: s.eng.Cache().ReloadLatency(),
+			Endpoints:              make(map[string]obs.HistSnapshot, len(endpointNames)),
+			Backends:               make(map[string]obs.HistSnapshot, len(backendNames)),
+			StageEvals:             s.eng.StageHist().Snapshot(),
+			ModelReloads:           s.eng.Cache().ReloadLatency(),
+			ModelCharacterizations: s.eng.Cache().CharacterizeLatency(),
 		},
 		ErrorsByEndpoint: make(map[string]int64, len(endpointNames)),
 	}

@@ -412,6 +412,33 @@ func TestCharEndpoint(t *testing.T) {
 	}
 }
 
+// TestCharacterizationLatencyMetric checks that /metrics times each
+// characterization: a cold /v1/char ticks model_characterizations to 1
+// and a repeat served from the model cache leaves it there.
+func TestCharacterizationLatencyMetric(t *testing.T) {
+	s := NewWithEngine(Config{}, engine.New(0, nil))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	if n := getMetrics(t, ts.URL).Latency.ModelCharacterizations.Count; n != 0 {
+		t.Fatalf("fresh server: model_characterizations count %d, want 0", n)
+	}
+	for i, want := range []int64{1, 1} {
+		resp, body := postJSON(t, ts.URL+"/v1/char", CharRequest{Cell: "INV", Config: "coarse"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("char %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		lat := getMetrics(t, ts.URL).Latency.ModelCharacterizations
+		if lat.Count != want {
+			t.Errorf("after char %d: model_characterizations count %d, want %d", i, lat.Count, want)
+		}
+		if lat.P50Ms <= 0 {
+			t.Errorf("after char %d: model_characterizations p50 %v ms, want > 0", i, lat.P50Ms)
+		}
+	}
+}
+
 // TestHealthz and metrics shape.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

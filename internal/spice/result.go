@@ -133,21 +133,6 @@ func (r *Result) lookupNode(name string) (int, bool) {
 // by the circuit). Like Wave, it shares the record's samples.
 func (r *Result) AuxWave(idx int) wave.Waveform { return r.waveOf(r.col(idx)) }
 
-// AuxWavePooled is AuxWave with the sample slices copied into slices
-// drawn from the wave package's free-list pool. The caller owns the
-// returned waveform and must hand it back with wave.Release once done
-// measuring — after that the samples may be overwritten by an unrelated
-// waveform. Use it only in tight characterization loops that fully
-// consume the waveform before the next solve; anything retained beyond
-// the loop should use AuxWave.
-func (r *Result) AuxWavePooled(idx int) wave.Waveform {
-	t := wave.GetSamples(len(r.Times))
-	copy(t, r.Times)
-	v := wave.GetSamples(len(r.Times))
-	copy(v, r.col(idx))
-	return wave.Waveform{T: t, V: v}
-}
-
 // Current returns the branch-current waveform of the named voltage source.
 func (r *Result) Current(vsrcName string) (wave.Waveform, error) {
 	for _, el := range r.ckt.Elements() {

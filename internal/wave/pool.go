@@ -87,9 +87,8 @@ func PutSamples(s []float64) {
 
 // Release returns both sample arrays of a pooled waveform to the free list
 // and clears the waveform so a stale re-release is a no-op. Only call it
-// on waveforms built from GetSamples buffers (e.g. Result.AuxWavePooled);
-// releasing a waveform that shares storage with a live one corrupts the
-// live one.
+// on waveforms built from GetSamples buffers; releasing a waveform that
+// shares storage with a live one corrupts the live one.
 func Release(w *Waveform) {
 	if w == nil {
 		return
