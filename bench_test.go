@@ -7,6 +7,7 @@ package mcsm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,10 +20,13 @@ import (
 	"testing"
 
 	"mcsm/internal/cells"
+	"mcsm/internal/cliutil"
 	"mcsm/internal/csm"
 	"mcsm/internal/engine"
 	"mcsm/internal/experiments"
+	"mcsm/internal/graph"
 	"mcsm/internal/netlist"
+	"mcsm/internal/obs"
 	"mcsm/internal/service"
 	"mcsm/internal/spice"
 	"mcsm/internal/sta"
@@ -470,28 +474,31 @@ func BenchmarkSkewSweepExperiment(b *testing.B) { benchExperiment(b, "sweep") }
 // cost; the concurrent one exercises request coalescing, so its req/s is
 // what identical-load clients actually observe.
 
-// benchServer builds an in-process service on the shared session cache
-// with models and the netlist LRU pre-warmed.
-func benchServer(b *testing.B) (*httptest.Server, []byte) {
+// benchC17Request is the served c17 analysis of the service benchmarks.
+var benchC17Request = service.STARequest{
+	Name: "c17", Netlist: sta.C17Netlist, Format: "net", Stimulus: "c17",
+	Config: "fast", Dt: "1p",
+}
+
+// benchServer builds an in-process service with cfg on the shared session
+// cache with models and the netlist LRU pre-warmed.
+func benchServer(b *testing.B, cfg service.Config) (*httptest.Server, []byte) {
 	b.Helper()
-	srv := service.NewWithEngine(service.Config{}, engine.New(0, benchSession().Engine().Cache()))
+	srv := service.NewWithEngine(cfg, engine.New(0, benchSession().Engine().Cache()))
 	ts := httptest.NewServer(srv.Handler())
 	b.Cleanup(func() { ts.Close(); srv.Close() })
-	req, err := json.Marshal(service.STARequest{
-		Name: "c17", Netlist: sta.C17Netlist, Format: "net", Stimulus: "c17",
-		Config: "fast", Dt: "1p",
-	})
+	req, err := json.Marshal(benchC17Request)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := benchServePost(ts, req); err != nil { // warm-up
+	if _, err := benchServePost(ts, "/v1/sta", req); err != nil { // warm-up
 		b.Fatal(err)
 	}
 	return ts, req
 }
 
-func benchServePost(ts *httptest.Server, req []byte) ([]byte, error) {
-	resp, err := http.Post(ts.URL+"/v1/sta", "application/json", bytes.NewReader(req))
+func benchServePost(ts *httptest.Server, path string, req []byte) ([]byte, error) {
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(req))
 	if err != nil {
 		return nil, err
 	}
@@ -508,10 +515,10 @@ func benchServePost(ts *httptest.Server, req []byte) ([]byte, error) {
 
 // BenchmarkServeSTAC17 times one full served analysis per iteration.
 func BenchmarkServeSTAC17(b *testing.B) {
-	ts, req := benchServer(b)
+	ts, req := benchServer(b, service.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := benchServePost(ts, req); err != nil {
+		if _, err := benchServePost(ts, "/v1/sta", req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -521,12 +528,45 @@ func BenchmarkServeSTAC17(b *testing.B) {
 // clients; coalescing collapses overlapping work, so per-op time drops
 // well below a full analysis.
 func BenchmarkServeSTAC17Concurrent(b *testing.B) {
-	ts, req := benchServer(b)
+	ts, req := benchServer(b, service.Config{})
 	b.SetParallelism(4)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := benchServePost(ts, req); err != nil {
+			if _, err := benchServePost(ts, "/v1/sta", req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkServeBatchC17 compares eight identical c17 analyses posted one
+// by one with the same eight items posted as one /v1/sta:batch request.
+// The server keeps no warm replies (GraphCap -1), so every sequential post
+// recomputes, while the batch dedups its items onto one computation.
+func BenchmarkServeBatchC17(b *testing.B) {
+	const n = 8
+	ts, req := benchServer(b, service.Config{GraphCap: -1})
+	items := make([]service.STARequest, n)
+	for i := range items {
+		items[i] = benchC17Request
+	}
+	batch, err := json.Marshal(service.BatchSTARequest{Items: items})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < n; k++ {
+				if _, err := benchServePost(ts, "/v1/sta", req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := benchServePost(ts, "/v1/sta:batch", batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -550,4 +590,125 @@ func BenchmarkTechMapC432(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Backend and tracing benchmarks on the mapped c432 corpus circuit (552
+// cells, corpus stimulus, MIS mode, 4 ps step) with warm caches: the CSM
+// models and NLDM tables are characterized before any timed loop.
+
+// c432Bench is the warm c432 analysis both benchmarks below time.
+type c432Bench struct {
+	eng     *engine.Engine
+	spec    engine.BackendSpec // the CSM backend
+	nl      *sta.Netlist
+	primary map[string]wave.Waveform
+	opt     sta.Options
+}
+
+var (
+	benchC432Once sync.Once
+	benchC432     *c432Bench
+	benchC432Err  error
+)
+
+func benchC432Setup(b *testing.B) *c432Bench {
+	b.Helper()
+	benchC432Once.Do(func() {
+		wl, err := cliutil.LoadWorkload("internal/netlist/testdata/c432.bench", "bench")
+		if err != nil {
+			benchC432Err = err
+			return
+		}
+		tech := cells.Default130()
+		horizon := wl.Horizon(0, 4e-9, cliutil.DefaultSlew)
+		c := &c432Bench{
+			eng:     engine.New(0, benchSession().Engine().Cache()),
+			spec:    engine.BackendSpec{Kind: engine.BackendCSM, Tech: tech, CSM: benchSession().Cfg.CharCfg},
+			nl:      wl.NL,
+			primary: wl.Stimulus(tech.Vdd, cliutil.DefaultSlew, horizon),
+			opt:     sta.Options{Mode: sta.ModeMIS, Horizon: horizon, Dt: 4e-12},
+		}
+		if _, err := c.eng.ModelsFor(tech, c.nl, c.spec.CSM); err != nil {
+			benchC432Err = err
+			return
+		}
+		// One hybrid analysis characterizes the NLDM tables.
+		hybrid := c.spec
+		hybrid.Kind = engine.BackendHybrid
+		if _, benchC432Err = c.eng.AnalyzeBackend(context.Background(), hybrid, c.nl, c.primary, c.opt); benchC432Err == nil {
+			benchC432 = c
+		}
+	})
+	if benchC432Err != nil {
+		b.Fatal(benchC432Err)
+	}
+	return benchC432
+}
+
+// BenchmarkBackendC432 times one full-CSM analysis of c432 against one
+// hybrid analysis (NLDM pass, slack classification, CSM refinement of
+// the near-critical stages at the default margin).
+func BenchmarkBackendC432(b *testing.B) {
+	c := benchC432Setup(b)
+	for _, kind := range []engine.BackendKind{engine.BackendCSM, engine.BackendHybrid} {
+		b.Run(string(kind), func(b *testing.B) {
+			spec := c.spec
+			spec.Kind = kind
+			var res *engine.BackendResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = c.eng.AnalyzeBackend(context.Background(), spec, c.nl, c.primary, c.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Plan.CSMStages), "csm-stages")
+		})
+	}
+}
+
+// BenchmarkTraceC432 measures what tracing costs a full-CSM c432
+// analysis. baseline is the analysis without the observability layer:
+// the plan, graph.Build and Propagate under a plain context, with no
+// stage histogram. untraced is AnalyzeBackend with tracing off (nil-span
+// checks plus the always-on stage histogram), the path every production
+// request pays; traced runs it under a live trace.
+func BenchmarkTraceC432(b *testing.B) {
+	c := benchC432Setup(b)
+	ctx := context.Background()
+	b.Run("baseline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			plan, err := c.eng.PlanBackend(ctx, c.spec, c.nl, c.primary, c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gcfg := plan.GraphConfig(c.eng.Workers(), nil)
+			gcfg.ShareNetlist = true
+			g, err := graph.Build(c.nl, plan.Models, c.primary, c.opt, gcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := g.Propagate(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("untraced", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.eng.AnalyzeBackend(ctx, c.spec, c.nl, c.primary, c.opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("traced", func(b *testing.B) {
+		var spans int
+		for i := 0; i < b.N; i++ {
+			tr := obs.New("bench")
+			if _, err := c.eng.AnalyzeBackend(obs.WithSpan(ctx, tr.Root()), c.spec, c.nl, c.primary, c.opt); err != nil {
+				b.Fatal(err)
+			}
+			spans = tr.Finish().CountSpans()
+		}
+		b.ReportMetric(float64(spans), "spans")
+	})
 }

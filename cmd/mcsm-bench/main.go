@@ -8,283 +8,21 @@
 //	mcsm-bench -quick     # reduced sweeps (seconds instead of minutes)
 //	mcsm-bench -only fig9,fig12
 //	mcsm-bench -list
-//	mcsm-bench -quick -json perf.json   # machine-readable perf summary
 //
-// With -json, the run additionally executes a serial-vs-parallel STA probe
-// through internal/engine, a compact MIS skew-sweep probe through
-// internal/sweep, a serving probe through internal/service (an
-// in-process HTTP server fed sequential then concurrent-identical
-// requests, measuring sustained req/s, p50/p99 latency, and the
-// coalescing ratio), and an ECO probe through internal/graph (a retained
-// timing graph fed endpoint-biased single edits, measuring edits/sec,
-// the mean re-evaluated stage fraction, and incremental-vs-cold
-// bit-identity), and a Monte-Carlo probe through internal/mc (a small
-// variation budget at workers 1 vs N, measuring trials/sec and
-// report bit-identity across worker counts), and a reload probe through
-// internal/artifact (one characterized model loaded repeatedly from its
-// binary spill artifact and from JSON, best-of timing — the speedup the
-// binary format buys on cold-start), and writes a JSON summary (per-experiment wall
-// times, characterization-cache hit rate, stage-evals/sec, sweep
-// points/sec, parallel speedups, bit-identity checks) so successive PRs
-// have a perf trajectory to compare against. Use "-json -" for stdout.
-//
-// -serve-load 5s runs ONLY the serve_load probe: an open-loop request
-// mix (single /v1/sta posts interleaved with /v1/sta:batch posts, every
-// reply byte-compared) fired by concurrent clients at two in-process
-// servers — warm-graph LRU disabled, then enabled — reporting aggregate
-// req/s, the coalescing ratio, and p50/p95/p99 from the server's own
-// obs histograms, plus a sequential-vs-batch economy measure:
-//
-//	mcsm-bench -quick -serve-load 5s -json BENCH_serve_load.json
-//
-// The probe workload defaults to the built-in ISCAS85 c17 (six stages —
-// the historical trajectory baseline); -bench circuit.bench runs it on a
-// technology-mapped .bench circuit from the corpus (see internal/netlist
-// and EXPERIMENTS.md "Benchmark corpus"), and -gen N on a generated
-// N-gate synthetic circuit, putting hundreds of stages through the
-// level-parallel scheduler:
-//
-//	mcsm-bench -quick -only sta -gen 300 -json -
-//	mcsm-bench -quick -only sta -bench internal/netlist/testdata/c880.bench -json perf.json
+// Performance is measured elsewhere: perfbench/ for the served workloads
+// and the testing.B benchmarks indexed in EXPERIMENTS.md.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"mcsm/internal/cells"
 	"mcsm/internal/cliutil"
-	"mcsm/internal/csm"
-	"mcsm/internal/engine"
 	"mcsm/internal/experiments"
-	"mcsm/internal/graph"
-	"mcsm/internal/mc"
-	"mcsm/internal/netlist"
-	"mcsm/internal/obs"
-	"mcsm/internal/service"
-	"mcsm/internal/sta"
-	"mcsm/internal/sweep"
-	"mcsm/internal/wave"
 )
-
-type expTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-type cacheSummary struct {
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	DiskHits int64   `json:"disk_hits"`
-	HitRate  float64 `json:"hit_rate"`
-}
-
-type staProbe struct {
-	Netlist          string  `json:"netlist"`
-	Stages           int     `json:"stages"`
-	Levels           int     `json:"levels"`
-	Workers          int     `json:"workers"`
-	SerialSeconds    float64 `json:"serial_seconds"`
-	ParallelSeconds  float64 `json:"parallel_seconds"`
-	Speedup          float64 `json:"speedup"`
-	StageEvals       int64   `json:"stage_evals"`
-	StageEvalsPerSec float64 `json:"stage_evals_per_sec"`
-	BitIdentical     bool    `json:"bit_identical"`
-}
-
-type sweepProbe struct {
-	Cells           []string `json:"cells"`
-	PointsPerCell   int      `json:"points_per_cell"`
-	Workers         int      `json:"workers"`
-	SerialSeconds   float64  `json:"serial_seconds"`
-	ParallelSeconds float64  `json:"parallel_seconds"`
-	Speedup         float64  `json:"speedup"`
-	PointEvals      int64    `json:"point_evals"`
-	PointsPerSec    float64  `json:"points_per_sec"`
-	BitIdentical    bool     `json:"bit_identical"`
-}
-
-// serveProbe measures the HTTP serving path (internal/service) on the
-// same workload as the STA probe: a sequential phase for clean latency
-// (p50/p99, req/s without overlap) and a concurrent-identical phase where
-// request coalescing collapses duplicate work (ratio = served/computed).
-// BitIdentical asserts every served body matched the direct engine bytes.
-type serveProbe struct {
-	Netlist             string  `json:"netlist"`
-	Workers             int     `json:"workers"`
-	MaxInFlight         int     `json:"max_in_flight"`
-	SequentialRequests  int     `json:"sequential_requests"`
-	SequentialSeconds   float64 `json:"sequential_seconds"`
-	ReqPerSec           float64 `json:"req_per_sec"`
-	P50Ms               float64 `json:"p50_ms"`
-	P99Ms               float64 `json:"p99_ms"`
-	ConcurrentClients   int     `json:"concurrent_clients"`
-	ConcurrentRequests  int     `json:"concurrent_requests"`
-	ConcurrentSeconds   float64 `json:"concurrent_seconds"`
-	ConcurrentReqPerSec float64 `json:"concurrent_req_per_sec"`
-	Computed            int64   `json:"computed"`
-	Coalesced           int64   `json:"coalesced"`
-	CoalescingRatio     float64 `json:"coalescing_ratio"`
-	BitIdentical        bool    `json:"bit_identical"`
-}
-
-// ecoProbe measures the incremental (ECO) path on the same workload as
-// the STA probe: one retained timing-graph build (cold full analysis),
-// then a deterministic sequence of single edits — cell swaps, input
-// arrival shifts, net-load tweaks — each followed by a dirty-cone
-// re-propagation. MeanReevalFraction is the probe's economy headline
-// (fraction of the circuit a single edit touches); BitIdentical asserts
-// the final retained state equals a cold full analysis of the edited
-// netlist.
-type ecoProbe struct {
-	Netlist            string  `json:"netlist"`
-	Stages             int     `json:"stages"`
-	Workers            int     `json:"workers"`
-	ColdSeconds        float64 `json:"cold_seconds"`
-	Edits              int     `json:"edits"`
-	EcoSeconds         float64 `json:"eco_seconds"`
-	EditsPerSec        float64 `json:"edits_per_sec"`
-	MeanReevalFraction float64 `json:"mean_reeval_fraction"`
-	StageEvals         int64   `json:"stage_evals"`
-	BitIdentical       bool    `json:"bit_identical"`
-}
-
-// charProbe measures cold characterization: the exact (golden-pinned)
-// solver path timed with allocation counters, the Config.Fast path timed
-// against it, and the fast-vs-exact stage-delay divergence over the MIS
-// probe grid. GridPoints counts the current-table DC grid; allocs/point
-// is the process Mallocs delta over the exact characterization divided by
-// that count — the zero-alloc inner loop shows up here directly.
-type charProbe struct {
-	Cell             string  `json:"cell"`
-	Kind             string  `json:"kind"`
-	GridPoints       int     `json:"grid_points"`
-	ColdSeconds      float64 `json:"cold_seconds"`
-	ColdPointsPerSec float64 `json:"cold_points_per_sec"`
-	AllocsPerPoint   float64 `json:"allocs_per_point"`
-	FastSeconds      float64 `json:"fast_seconds"`
-	FastSpeedup      float64 `json:"fast_speedup"`
-	FastMaxDelayErrS float64 `json:"fast_max_delay_err_s"`
-}
-
-// hybridProbe measures the hybrid delay backend on the probe workload:
-// one full-CSM analysis (warm model cache) timed against one hybrid
-// analysis (NLDM pass + slack classification + CSM re-evaluation of the
-// near-critical stages). CSMFraction is the economy headline (how little
-// of the circuit still needs waveform evaluation). Two error measures:
-// CriticalErrS is the worst-arrival deviation — the number the margin
-// contract bounds, since the critical cone is CSM-refined — and
-// MaxOutputErrS is the largest deviation over every transitioning
-// primary output, including far-from-critical ones the hybrid plan
-// deliberately leaves at table accuracy (it may exceed the margin
-// without threatening the critical-path answer).
-type hybridProbe struct {
-	Netlist       string  `json:"netlist"`
-	Stages        int     `json:"stages"`
-	MarginS       float64 `json:"margin_s"`
-	CSMStages     int     `json:"csm_stages"`
-	CSMFraction   float64 `json:"csm_fraction"`
-	FullSeconds   float64 `json:"full_csm_seconds"`
-	HybridSeconds float64 `json:"hybrid_seconds"`
-	Speedup       float64 `json:"speedup"`
-	WorstCSMS     float64 `json:"worst_arrival_csm_s"`
-	WorstHybridS  float64 `json:"worst_arrival_hybrid_s"`
-	CriticalErrS  float64 `json:"critical_path_err_s"`
-	MaxOutputErrS float64 `json:"max_output_err_s"`
-	WithinMargin  bool    `json:"within_margin"`
-}
-
-// mcProbe measures the Monte-Carlo variation subsystem (internal/mc) on
-// the probe workload: a small trial budget run once on a serial engine
-// and once on the session's pool width. TrialsPerSec (parallel) is the
-// throughput headline; BitIdentical asserts the two canonical reports
-// match byte for byte — the subsystem's determinism contract (results
-// keyed by instance×trial, reduced in trial order, independent of
-// worker count). On a single-core host the speedup is ~1 by
-// construction; the bit-identity check is the part that must hold
-// everywhere.
-type mcProbe struct {
-	Netlist            string  `json:"netlist"`
-	Stages             int     `json:"stages"`
-	Trials             int     `json:"trials"`
-	Workers            int     `json:"workers"`
-	SerialSeconds      float64 `json:"serial_seconds"`
-	ParallelSeconds    float64 `json:"parallel_seconds"`
-	TrialsPerSecSerial float64 `json:"trials_per_sec_serial"`
-	TrialsPerSec       float64 `json:"trials_per_sec"`
-	Speedup            float64 `json:"speedup"`
-	StageEvals         int64   `json:"stage_evals"`
-	BitIdentical       bool    `json:"bit_identical"`
-}
-
-// obsBackendRow is one backend's tracing-overhead measurement: the same
-// analysis timed three ways. Baseline reconstructs the pre-observability
-// path by hand (plan + graph build + propagate with no stage histogram
-// and a plain context), Disabled is the production AnalyzeBackend with
-// tracing off (nil-span checks + the always-on stage histogram), Enabled
-// runs under a live trace. The overhead percentages are the PR's
-// contract numbers: <3% disabled, <10% enabled.
-type obsBackendRow struct {
-	Backend             string  `json:"backend"`
-	BaselineSeconds     float64 `json:"baseline_seconds"`
-	DisabledSeconds     float64 `json:"disabled_seconds"`
-	EnabledSeconds      float64 `json:"enabled_seconds"`
-	DisabledOverheadPct float64 `json:"disabled_overhead_pct"`
-	EnabledOverheadPct  float64 `json:"enabled_overhead_pct"`
-	TraceSpans          int     `json:"trace_spans"`
-}
-
-// obsProbe measures the observability layer end to end: per-backend
-// tracing overhead on the probe workload, and the HTTP serving path
-// untraced vs traced ("trace": true) — with the embedded report of every
-// traced reply byte-compared against the plain reply, the wrapper's
-// golden-bytes contract.
-type obsProbe struct {
-	Netlist            string          `json:"netlist"`
-	Stages             int             `json:"stages"`
-	Workers            int             `json:"workers"`
-	Runs               int             `json:"runs"`
-	Backends           []obsBackendRow `json:"backends"`
-	UntracedReqPerSec  float64         `json:"untraced_req_per_sec"`
-	TracedReqPerSec    float64         `json:"traced_req_per_sec"`
-	TracedHTTPPct      float64         `json:"traced_http_overhead_pct"`
-	ReportBitIdentical bool            `json:"report_bit_identical"`
-}
-
-type perfSummary struct {
-	SchemaVersion int          `json:"schema_version"`
-	GeneratedUnix int64        `json:"generated_unix"`
-	Quick         bool         `json:"quick"`
-	Workers       int          `json:"workers"`
-	Experiments   []expTiming  `json:"experiments"`
-	Cache         cacheSummary `json:"cache"`
-	STAProbe      *staProbe    `json:"sta_probe,omitempty"`
-	SweepProbe    *sweepProbe  `json:"sweep_probe,omitempty"`
-	ServeProbe    *serveProbe  `json:"serve_probe,omitempty"`
-	EcoProbe      *ecoProbe    `json:"eco_probe,omitempty"`
-	CharProbe     *charProbe   `json:"char_probe,omitempty"`
-	HybridProbe   *hybridProbe `json:"hybrid_probe,omitempty"`
-	MCProbe       *mcProbe     `json:"mc_probe,omitempty"`
-	ObsProbe      *obsProbe    `json:"obs_probe,omitempty"`
-	ReloadProbe   *reloadProbe `json:"reload_probe,omitempty"`
-	// ServeLoad is only populated by -serve-load runs (the open-loop
-	// serving mix); full probe runs leave it null.
-	ServeLoad *serveLoadProbe `json:"serve_load_probe,omitempty"`
-}
 
 func main() {
 	var (
@@ -292,13 +30,8 @@ func main() {
 		only       = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		parallel   = flag.Int("parallel", 0, "engine worker-pool width (0 = GOMAXPROCS, 1 = serial)")
-		dtSpec     = flag.String("dt", "", "transient step override, e.g. 4p (default: the profile's 1 ps; coarser steps speed up mid-size probe workloads)")
-		jsonPath   = flag.String("json", "", "write a machine-readable perf summary to this path (\"-\" = stdout)")
+		dtSpec     = flag.String("dt", "", "transient step override, e.g. 4p (default: the profile's 1 ps)")
 		cacheDir   = flag.String("cache", "", "model cache directory (spill/reload characterized models)")
-		benchNl    = flag.String("bench", "", "STA-probe workload: a .bench circuit, technology-mapped (default: built-in c17)")
-		genGates   = flag.Int("gen", 0, "STA-probe workload: a generated synthetic circuit with this many gates (overrides -bench)")
-		marginS    = flag.String("margin", "", "hybrid-probe criticality margin as an SI time, e.g. 150p (default: 10% of the NLDM worst arrival)")
-		serveLoad  = flag.Duration("serve-load", 0, "run ONLY the serve_load probe: an open-loop single+batch STA request mix against in-process servers (warm-graph on vs off) for this duration per phase, written to -json; experiments and other probes are skipped")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -317,21 +50,6 @@ func main() {
 		return
 	}
 
-	// Resolve the probe configuration before the (multi-minute) experiment
-	// loop so flag misuse or a bad -bench path fails immediately.
-	var wl *probeNetlist
-	if *jsonPath != "" {
-		if *genGates < 0 {
-			fatal(fmt.Errorf("-gen %d: gate count must be positive", *genGates))
-		}
-		var err error
-		if wl, err = probeWorkload(*benchNl, *genGates); err != nil {
-			fatal(fmt.Errorf("sta probe: %w", err))
-		}
-	} else if *benchNl != "" || *genGates != 0 {
-		fatal(fmt.Errorf("-bench/-gen configure the STA probe, which only runs with -json"))
-	}
-
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
@@ -345,31 +63,9 @@ func main() {
 	}
 	sess := experiments.NewSession(cfg)
 
-	// -serve-load: the serving-throughput smoke. Only the open-loop mix
-	// runs (no experiments, no other probes), so a 5 s per-phase window
-	// answers in seconds — cheap enough for CI to gate on.
-	if *serveLoad > 0 {
-		if *jsonPath == "" {
-			fatal(fmt.Errorf("-serve-load requires -json (the probe's only output is the summary)"))
-		}
-		sl, err := runServeLoadProbe(sess, wl, *serveLoad, *quick)
-		if err != nil {
-			fatal(fmt.Errorf("serve_load probe: %w", err))
-		}
-		writeSummary(*jsonPath, perfSummary{
-			SchemaVersion: 9,
-			GeneratedUnix: time.Now().Unix(),
-			Quick:         *quick,
-			Workers:       sess.Engine().Workers(),
-			ServeLoad:     sl,
-		})
-		return
-	}
-
-	var selected []experiments.Experiment
-	if *only == "" {
-		selected = experiments.All()
-	} else {
+	selected := experiments.All()
+	if *only != "" {
+		selected = nil
 		for _, id := range strings.Split(*only, ",") {
 			e, err := experiments.Find(strings.TrimSpace(id))
 			if err != nil {
@@ -379,7 +75,6 @@ func main() {
 		}
 	}
 
-	var timings []expTiming
 	for _, e := range selected {
 		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
 		start := time.Now()
@@ -387,942 +82,9 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		elapsed := time.Since(start)
 		fmt.Println(r.Render())
-		fmt.Printf("(%s in %s)\n\n", e.ID, elapsed.Truncate(time.Millisecond))
-		timings = append(timings, expTiming{ID: e.ID, Seconds: elapsed.Seconds()})
+		fmt.Printf("(%s in %s)\n\n", e.ID, time.Since(start).Truncate(time.Millisecond))
 	}
-
-	if *jsonPath == "" {
-		return
-	}
-	probe, err := runSTAProbe(sess, wl)
-	if err != nil {
-		fatal(fmt.Errorf("sta probe: %w", err))
-	}
-	swProbe, err := runSweepProbe(sess)
-	if err != nil {
-		fatal(fmt.Errorf("sweep probe: %w", err))
-	}
-	svProbe, err := runServeProbe(sess, wl, *quick)
-	if err != nil {
-		fatal(fmt.Errorf("serve probe: %w", err))
-	}
-	ecProbe, err := runEcoProbe(sess, wl)
-	if err != nil {
-		fatal(fmt.Errorf("eco probe: %w", err))
-	}
-	chProbe, err := runCharProbe(sess)
-	if err != nil {
-		fatal(fmt.Errorf("char probe: %w", err))
-	}
-	margin := 0.0
-	if *marginS != "" {
-		if margin, err = cliutil.ParseSI(*marginS); err != nil {
-			fatal(fmt.Errorf("margin: %w", err))
-		}
-	}
-	hyProbe, err := runHybridProbe(sess, wl, margin)
-	if err != nil {
-		fatal(fmt.Errorf("hybrid probe: %w", err))
-	}
-	mcPr, err := runMCProbe(sess, wl)
-	if err != nil {
-		fatal(fmt.Errorf("mc probe: %w", err))
-	}
-	obsPr, err := runObsProbe(sess, wl, *quick)
-	if err != nil {
-		fatal(fmt.Errorf("obs probe: %w", err))
-	}
-	rlProbe, err := runReloadProbe(sess)
-	if err != nil {
-		fatal(fmt.Errorf("reload probe: %w", err))
-	}
-	st := sess.CacheStats()
-	summary := perfSummary{
-		SchemaVersion: 9,
-		GeneratedUnix: time.Now().Unix(),
-		Quick:         *quick,
-		Workers:       sess.Engine().Workers(),
-		Experiments:   timings,
-		Cache: cacheSummary{
-			Hits: st.Hits, Misses: st.Misses, DiskHits: st.DiskHits, HitRate: st.HitRate(),
-		},
-		STAProbe:    probe,
-		SweepProbe:  swProbe,
-		ServeProbe:  svProbe,
-		EcoProbe:    ecProbe,
-		CharProbe:   chProbe,
-		HybridProbe: hyProbe,
-		MCProbe:     mcPr,
-		ObsProbe:    obsPr,
-		ReloadProbe: rlProbe,
-	}
-	writeSummary(*jsonPath, summary)
-}
-
-func writeSummary(path string, summary perfSummary) {
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-	} else {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote perf summary to %s\n", path)
-	}
-}
-
-// probeNetlist is a workload for the serial-vs-parallel STA probe and the
-// serve probe: the evaluated workload plus its canonical drive and the
-// equivalent service request (so the HTTP path analyzes the identical
-// circuit under the identical stimulus).
-type probeNetlist struct {
-	wl      *cliutil.Workload
-	horizon float64
-	primary func(vdd float64) map[string]wave.Waveform
-	staReq  service.STARequest // config/dt filled in by the serve probe
-}
-
-// probeWorkload resolves the probe's circuit: the built-in c17 by
-// default (the stable PR-over-PR trajectory baseline, with its canonical
-// MIS stimulus), a technology-mapped .bench circuit with -bench, or a
-// generated synthetic circuit with -gen N — both driven by the corpus
-// stimulus over a depth-derived window.
-func probeWorkload(benchPath string, genGates int) (*probeNetlist, error) {
-	if benchPath == "" && genGates == 0 {
-		w, err := cliutil.ParseWorkload("c17", "net", sta.C17Netlist)
-		if err != nil {
-			return nil, err
-		}
-		const horizon = 4e-9
-		return &probeNetlist{
-			wl: w, horizon: horizon,
-			primary: func(vdd float64) map[string]wave.Waveform {
-				return sta.C17Stimulus(vdd, horizon)
-			},
-			staReq: service.STARequest{
-				Name: "c17", Netlist: sta.C17Netlist, Format: "net", Stimulus: "c17",
-			},
-		}, nil
-	}
-
-	var (
-		w   *cliutil.Workload
-		err error
-	)
-	if genGates > 0 {
-		w, err = cliutil.GenWorkload(netlist.ISCASSpec(genGates))
-	} else {
-		w, err = cliutil.LoadWorkload(benchPath, "bench")
-	}
-	if err != nil {
-		return nil, err
-	}
-	const slew = cliutil.DefaultSlew
-	horizon := w.Horizon(0, 4e-9, slew)
-	return &probeNetlist{
-		wl: w, horizon: horizon,
-		primary: func(vdd float64) map[string]wave.Waveform {
-			return w.Stimulus(vdd, slew, horizon)
-		},
-		// Gen workloads travel as their canonical .bench text, so the
-		// server provably analyzes the same circuit.
-		staReq: service.STARequest{Name: w.Name, Netlist: w.Text, Format: "bench"},
-	}, nil
-}
-
-// runSTAProbe times an analysis of the workload serially and
-// level-parallel (sharing the session's model cache, so the
-// characterizations count toward its hit rate) and checks that the two
-// reports agree bit-for-bit.
-func runSTAProbe(sess *experiments.Session, wl *probeNetlist) (*staProbe, error) {
-	tech := sess.Cfg.Tech
-	cache := sess.Engine().Cache()
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	serialEng := engine.New(1, cache)
-	parallelEng := engine.New(workers, cache)
-
-	models, err := serialEng.ModelsFor(tech, wl.wl.NL, sess.Cfg.CharCfg)
-	if err != nil {
-		return nil, err
-	}
-	primary := wl.primary(tech.Vdd)
-	opt := sta.Options{Horizon: wl.horizon, Dt: sess.Cfg.Dt}
-
-	// Best-of-N timing: one run of a millisecond-scale analysis is
-	// scheduler-noise dominated, and this number is the PR-over-PR perf
-	// trajectory — the minimum is the stable estimator. Mid-size corpus
-	// workloads run seconds per pass and are timed once.
-	probeRuns := 3
-	if len(wl.wl.NL.Instances) > 50 {
-		probeRuns = 1
-	}
-	var serialRep, parallelRep *sta.Report
-	serialSec, parallelSec := math.Inf(1), math.Inf(1)
-	for i := 0; i < probeRuns; i++ {
-		start := time.Now()
-		serialRep, err = serialEng.Analyze(wl.wl.NL, models, primary, opt)
-		if err != nil {
-			return nil, err
-		}
-		if s := time.Since(start).Seconds(); s < serialSec {
-			serialSec = s
-		}
-		start = time.Now()
-		parallelRep, err = parallelEng.Analyze(wl.wl.NL, models, primary, opt)
-		if err != nil {
-			return nil, err
-		}
-		if s := time.Since(start).Seconds(); s < parallelSec {
-			parallelSec = s
-		}
-	}
-
-	probe := &staProbe{
-		Netlist:         wl.wl.Name,
-		Stages:          len(wl.wl.NL.Instances),
-		Levels:          wl.wl.Levels,
-		Workers:         workers,
-		SerialSeconds:   serialSec,
-		ParallelSeconds: parallelSec,
-		StageEvals:      serialEng.StageEvals() + parallelEng.StageEvals(),
-		BitIdentical:    engine.ReportsIdentical(serialRep, parallelRep),
-	}
-	if parallelSec > 0 {
-		probe.Speedup = serialSec / parallelSec
-		probe.StageEvalsPerSec = float64(len(wl.wl.NL.Instances)) / parallelSec
-	}
-	return probe, nil
-}
-
-// runServeProbe measures the serving path on the same workload: an
-// in-process mcsm-serve (sharing the session's model cache through a
-// fresh engine) is fed a sequential phase for clean per-request latency,
-// then a concurrent-identical phase where coalescing collapses duplicate
-// work. Every response body is compared against the direct engine bytes,
-// so BitIdentical asserts the HTTP path preserves the determinism
-// contract end to end.
-func runServeProbe(sess *experiments.Session, wl *probeNetlist, quick bool) (*serveProbe, error) {
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := engine.New(workers, sess.Engine().Cache())
-	srv := service.NewWithEngine(service.Config{}, eng)
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	req := wl.staReq
-	req.Config = "default"
-	if quick {
-		req.Config = "fast"
-	}
-	// Exact shortest round-trip form: the service parses it back to the
-	// identical float bits, keeping the reference comparison bit-level.
-	req.Dt = strconv.FormatFloat(sess.Cfg.Dt, 'g', -1, 64)
-	reqBody, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-
-	// Reference bytes from the direct engine path (same shared cache).
-	models, err := eng.ModelsFor(sess.Cfg.Tech, wl.wl.NL, sess.Cfg.CharCfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := eng.Analyze(wl.wl.NL, models, wl.primary(sess.Cfg.Tech.Vdd),
-		sta.Options{Horizon: wl.horizon, Dt: sess.Cfg.Dt})
-	if err != nil {
-		return nil, err
-	}
-	want, err := sta.MarshalGoldenReport(wl.wl.Name, rep)
-	if err != nil {
-		return nil, err
-	}
-
-	var mu sync.Mutex
-	bitIdentical := true
-	post := func() error {
-		resp, err := http.Post(ts.URL+"/v1/sta", "application/json", bytes.NewReader(reqBody))
-		if err != nil {
-			return err
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("serve probe: status %d: %s", resp.StatusCode, body)
-		}
-		mu.Lock()
-		if !bytes.Equal(body, want) {
-			bitIdentical = false
-		}
-		mu.Unlock()
-		return nil
-	}
-
-	// Warm-up: characterization and the netlist LRU fill happen here, so
-	// the phases measure serving, not first-touch costs.
-	if err := post(); err != nil {
-		return nil, err
-	}
-
-	seqN, clients, perClient := 12, 8, 4
-	if len(wl.wl.NL.Instances) > 50 {
-		seqN, clients, perClient = 3, 4, 2
-	}
-
-	latencies := make([]float64, 0, seqN)
-	seqStart := time.Now()
-	for i := 0; i < seqN; i++ {
-		t0 := time.Now()
-		if err := post(); err != nil {
-			return nil, err
-		}
-		latencies = append(latencies, time.Since(t0).Seconds()*1e3)
-	}
-	seqSec := time.Since(seqStart).Seconds()
-	sort.Float64s(latencies)
-	quantile := func(q float64) float64 {
-		idx := int(q * float64(len(latencies)-1))
-		return latencies[idx]
-	}
-
-	m0 := srv.Snapshot()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	concStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for k := 0; k < perClient; k++ {
-				if err := post(); err != nil {
-					errs[c] = err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	concSec := time.Since(concStart).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	m1 := srv.Snapshot()
-
-	probe := &serveProbe{
-		Netlist:            wl.wl.Name,
-		Workers:            workers,
-		MaxInFlight:        m1.MaxInFlight,
-		SequentialRequests: seqN,
-		SequentialSeconds:  seqSec,
-		P50Ms:              quantile(0.50),
-		P99Ms:              quantile(0.99),
-		ConcurrentClients:  clients,
-		ConcurrentRequests: clients * perClient,
-		ConcurrentSeconds:  concSec,
-		Computed:           m1.STAComputed - m0.STAComputed,
-		Coalesced:          m1.STACoalesced - m0.STACoalesced,
-		BitIdentical:       bitIdentical,
-	}
-	if seqSec > 0 {
-		probe.ReqPerSec = float64(seqN) / seqSec
-	}
-	if concSec > 0 {
-		probe.ConcurrentReqPerSec = float64(clients*perClient) / concSec
-	}
-	if probe.Computed > 0 {
-		probe.CoalescingRatio = float64(probe.Computed+probe.Coalesced) / float64(probe.Computed)
-	}
-	return probe, nil
-}
-
-// runEcoProbe measures the incremental layer: a retained graph build
-// (timed as the cold baseline), then a deterministic round-robin of
-// single edits — swap a 2-input cell, shift a primary arrival, tweak a
-// net load — each re-propagated incrementally. The final retained state
-// is checked bit-for-bit against a cold analysis of the edited netlist.
-func runEcoProbe(sess *experiments.Session, wl *probeNetlist) (*ecoProbe, error) {
-	tech := sess.Cfg.Tech
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := engine.New(workers, sess.Engine().Cache())
-	primary := wl.primary(tech.Vdd)
-	opt := sta.Options{Horizon: wl.horizon, Dt: sess.Cfg.Dt}
-
-	start := time.Now()
-	g, err := cliutil.BuildGraph(eng, tech, wl.wl, sess.Cfg.CharCfg, primary, opt)
-	if err != nil {
-		return nil, err
-	}
-	coldSec := time.Since(start).Seconds()
-
-	// Edit profile: single-gate swaps and net-load tweaks on gates from
-	// the deeper half of the levelization — where real ECO fixes land
-	// (near the timing endpoints) and where the fanout cone a
-	// waveform-exact engine must re-evaluate stays small. A cone is the
-	// cost floor of an exact edit, so shallow edits (and primary-arrival
-	// shifts, whose cone is the whole input fanout) measure the circuit's
-	// structure, not the incremental layer; arrival jitter stays in the
-	// mix only for the six-stage c17 baseline.
-	nl := g.Netlist()
-	levels, err := nl.Levels()
-	if err != nil {
-		return nil, err
-	}
-	var candidates []int
-	for _, level := range levels[len(levels)/2:] {
-		candidates = append(candidates, level...)
-	}
-	small := len(nl.Instances) <= 50
-	edits := 6
-	if small {
-		edits = 18
-	}
-	var fracSum float64
-	applied := 0
-	start = time.Now()
-	for i := 0; i < edits; i++ {
-		edited := true
-		switch {
-		case small && i%3 == 1: // shift one primary arrival (c17 only)
-			net := nl.PrimaryIn[i%len(nl.PrimaryIn)]
-			at := 1e-9 + float64(i%7)*20e-12
-			if err := g.SetArrival(net, wave.SaturatedRamp(0, tech.Vdd, at, 80e-12, wl.horizon)); err != nil {
-				return nil, err
-			}
-		case i%2 == 0: // swap a deep 2-input cell (scan from a rotating start)
-			edited = false
-			for j := 0; j < len(candidates); j++ {
-				inst := nl.Instances[candidates[(i*7+j)%len(candidates)]]
-				if len(inst.Inputs) != 2 {
-					continue
-				}
-				to := "NOR2"
-				if inst.Type == "NOR2" {
-					to = "NAND2"
-				}
-				if err := g.SwapCell(inst.Name, to); err != nil {
-					return nil, err
-				}
-				edited = true
-				break
-			}
-		default: // bump a deep net load
-			inst := nl.Instances[candidates[(i*5)%len(candidates)]]
-			if err := g.SetLoad(inst.Output, float64(i%5+1)*1e-15); err != nil {
-				return nil, err
-			}
-		}
-		if !edited {
-			continue // no swappable cell (e.g. all-INV deep levels): don't count a phantom edit
-		}
-		stats, err := g.Propagate(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		fracSum += stats.ReevalFraction()
-		applied++
-	}
-	ecoSec := time.Since(start).Seconds()
-
-	cold, err := eng.Analyze(nl.Clone(), g.Models(), g.PrimaryWaves(), g.Options())
-	if err != nil {
-		return nil, err
-	}
-	probe := &ecoProbe{
-		Netlist:      wl.wl.Name,
-		Stages:       len(nl.Instances),
-		Workers:      workers,
-		ColdSeconds:  coldSec,
-		Edits:        applied,
-		EcoSeconds:   ecoSec,
-		StageEvals:   g.StageEvals(),
-		BitIdentical: engine.ReportsIdentical(g.Report(), cold),
-	}
-	if applied > 0 {
-		probe.MeanReevalFraction = fracSum / float64(applied)
-	}
-	if ecoSec > 0 {
-		probe.EditsPerSec = float64(applied) / ecoSec
-	}
-	return probe, nil
-}
-
-// runSweepProbe times a compact MIS skew sweep (internal/sweep) serially
-// and on a worker pool, sharing the session's model cache, and checks the
-// surfaces agree bit-for-bit — the sweep counterpart of the STA probe, so
-// sweep throughput joins the PR-over-PR perf trajectory.
-func runSweepProbe(sess *experiments.Session) (*sweepProbe, error) {
-	cfg := sweep.Config{
-		Tech:    sess.Cfg.Tech,
-		CharCfg: sess.Cfg.CharCfg,
-		Dt:      sess.Cfg.Dt,
-	}
-	grid := sweep.ProbeGrid()
-	cache := sess.Engine().Cache()
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	serial := sweep.New(engine.New(1, cache), cfg)
-	parallel := sweep.New(engine.New(workers, cache), cfg)
-	cellNames := sweep.DefaultCells()
-
-	// Pre-warm the shared cache (the STA probe does the same via
-	// ModelsFor): characterization must not land in the serial pass's
-	// timing, or speedup and points/sec become artifacts of which -only
-	// subset already characterized these cells. The warm-up runner is
-	// discarded so its evals don't pollute the probe counters.
-	warmGrid := grid
-	warmGrid.Skews = grid.Skews[:1]
-	if _, err := sweep.New(engine.New(1, cache), cfg).SweepAll(cellNames, warmGrid); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	serialSurf, err := serial.SweepAll(cellNames, grid)
-	if err != nil {
-		return nil, err
-	}
-	serialSec := time.Since(start).Seconds()
-	start = time.Now()
-	parallelSurf, err := parallel.SweepAll(cellNames, grid)
-	if err != nil {
-		return nil, err
-	}
-	parallelSec := time.Since(start).Seconds()
-
-	identical := len(serialSurf) == len(parallelSurf)
-	for i := range serialSurf {
-		if !identical || !sweep.SurfacesIdentical(serialSurf[i], parallelSurf[i]) {
-			identical = false
-			break
-		}
-	}
-	probe := &sweepProbe{
-		Cells:         cellNames,
-		PointsPerCell: grid.Size(),
-		Workers:       workers,
-		SerialSeconds: serialSec, ParallelSeconds: parallelSec,
-		PointEvals:   serial.PointEvals() + parallel.PointEvals(),
-		BitIdentical: identical,
-	}
-	if parallelSec > 0 {
-		probe.Speedup = serialSec / parallelSec
-		probe.PointsPerSec = float64(grid.Size()*len(cellNames)) / parallelSec
-	}
-	return probe, nil
-}
-
-// runHybridProbe times the hybrid delay backend against full CSM on the
-// probe workload. Both runs share the session's model cache (warmed by
-// the full pass), so the comparison measures analysis, not first-touch
-// characterization.
-func runHybridProbe(sess *experiments.Session, wl *probeNetlist, margin float64) (*hybridProbe, error) {
-	tech := sess.Cfg.Tech
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := engine.New(workers, sess.Engine().Cache())
-	primary := wl.primary(tech.Vdd)
-	opt := sta.Options{Mode: sta.ModeMIS, Horizon: wl.horizon, Dt: sess.Cfg.Dt}
-	ctx := context.Background()
-
-	// Warm the CSM model cache outside either timed pass.
-	if _, err := eng.ModelsFor(tech, wl.wl.NL, sess.Cfg.CharCfg); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	full, err := eng.AnalyzeBackend(ctx, engine.BackendSpec{
-		Kind: engine.BackendCSM, Tech: tech, CSM: sess.Cfg.CharCfg,
-	}, wl.wl.NL, primary, opt)
-	if err != nil {
-		return nil, err
-	}
-	fullSec := time.Since(start).Seconds()
-
-	// The NLDM tables characterize inside the timed hybrid pass the first
-	// time — that cost is part of a cold hybrid analysis — but table
-	// characterization is milliseconds against the CSM solver, so the
-	// headline is the analysis economy either way.
-	start = time.Now()
-	hyb, err := eng.AnalyzeBackend(ctx, engine.BackendSpec{
-		Kind: engine.BackendHybrid, Tech: tech, CSM: sess.Cfg.CharCfg, Margin: margin,
-	}, wl.wl.NL, primary, opt)
-	if err != nil {
-		return nil, err
-	}
-	hybSec := time.Since(start).Seconds()
-
-	var maxErr float64
-	for _, po := range wl.wl.NL.PrimaryOut {
-		a, b := full.Report.Nets[po].Arrival, hyb.Report.Nets[po].Arrival
-		if math.IsNaN(a) || math.IsNaN(b) {
-			continue
-		}
-		if d := math.Abs(a - b); d > maxErr {
-			maxErr = d
-		}
-	}
-	probe := &hybridProbe{
-		Netlist:     wl.wl.Name,
-		Stages:      len(wl.wl.NL.Instances),
-		MarginS:     hyb.Plan.Margin,
-		CSMStages:   hyb.Plan.CSMStages,
-		FullSeconds: fullSec, HybridSeconds: hybSec,
-		MaxOutputErrS: maxErr,
-	}
-	if n := len(hyb.Plan.Assign); n > 0 {
-		probe.CSMFraction = float64(hyb.Plan.CSMStages) / float64(n)
-	}
-	if hybSec > 0 {
-		probe.Speedup = fullSec / hybSec
-	}
-	if _, arr, ok := full.Report.WorstOutput(wl.wl.NL); ok {
-		probe.WorstCSMS = arr
-	}
-	if _, arr, ok := hyb.Report.WorstOutput(wl.wl.NL); ok {
-		probe.WorstHybridS = arr
-	}
-	probe.CriticalErrS = math.Abs(probe.WorstHybridS - probe.WorstCSMS)
-	probe.WithinMargin = probe.CriticalErrS <= hyb.Plan.Margin
-	return probe, nil
-}
-
-// runMCProbe runs a small Monte-Carlo budget through internal/mc twice —
-// serial engine, then the session pool width — byte-comparing the
-// canonical reports (the worker-count determinism contract) and timing
-// trials/sec on each. The CSM backend keeps the probe exact; the trial
-// budget shrinks on mid-size corpus workloads where a single waveform
-// trial runs seconds.
-func runMCProbe(sess *experiments.Session, wl *probeNetlist) (*mcProbe, error) {
-	tech := sess.Cfg.Tech
-	cache := sess.Engine().Cache()
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	trials := 8
-	if len(wl.wl.NL.Instances) > 50 {
-		trials = 2
-	}
-	cfg := mc.Config{
-		Backend:       engine.BackendSpec{Kind: engine.BackendCSM, Tech: tech, CSM: sess.Cfg.CharCfg},
-		Trials:        trials,
-		Seed:          7,
-		SigmaVt:       mc.DefaultSigmaVt,
-		SigmaStrength: mc.DefaultSigmaStrength,
-	}
-	primary := wl.primary(tech.Vdd)
-	opt := sta.Options{Mode: sta.ModeMIS, Horizon: wl.horizon, Dt: sess.Cfg.Dt}
-	ctx := context.Background()
-
-	serialEng := engine.New(1, cache)
-	// Warm the model cache outside the timed passes.
-	if _, err := serialEng.ModelsFor(tech, wl.wl.NL, sess.Cfg.CharCfg); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	serialRes, err := mc.New(serialEng).Run(ctx, cfg, wl.wl.NL, primary, opt)
-	if err != nil {
-		return nil, err
-	}
-	serialSec := time.Since(start).Seconds()
-
-	start = time.Now()
-	parallelRes, err := mc.New(engine.New(workers, cache)).Run(ctx, cfg, wl.wl.NL, primary, opt)
-	if err != nil {
-		return nil, err
-	}
-	parallelSec := time.Since(start).Seconds()
-
-	serialRep, err := mc.MarshalReport(wl.wl.Name, serialRes)
-	if err != nil {
-		return nil, err
-	}
-	parallelRep, err := mc.MarshalReport(wl.wl.Name, parallelRes)
-	if err != nil {
-		return nil, err
-	}
-
-	probe := &mcProbe{
-		Netlist: wl.wl.Name, Stages: len(wl.wl.NL.Instances),
-		Trials: trials, Workers: workers,
-		SerialSeconds: serialSec, ParallelSeconds: parallelSec,
-		StageEvals:   parallelRes.StageEvals,
-		BitIdentical: bytes.Equal(serialRep, parallelRep),
-	}
-	if serialSec > 0 {
-		probe.TrialsPerSecSerial = float64(trials) / serialSec
-	}
-	if parallelSec > 0 {
-		probe.TrialsPerSec = float64(trials) / parallelSec
-		probe.Speedup = serialSec / parallelSec
-	}
-	return probe, nil
-}
-
-// runObsProbe measures what the observability layer costs. Per backend,
-// the same analysis runs three ways — a hand-built baseline equivalent
-// to the pre-instrumentation path (PlanBackend + graph.Build with no
-// stage histogram + Propagate under a plain context), the production
-// AnalyzeBackend with tracing disabled, and AnalyzeBackend under a live
-// trace — best-of-N to suppress scheduler noise on millisecond
-// workloads. The HTTP phase posts the STA-probe request untraced and
-// traced against an in-process server and byte-compares each traced
-// reply's embedded report against the plain reply bytes.
-func runObsProbe(sess *experiments.Session, wl *probeNetlist, quick bool) (*obsProbe, error) {
-	tech := sess.Cfg.Tech
-	workers := sess.Engine().Workers()
-	if workers < 2 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := engine.New(workers, sess.Engine().Cache())
-	primary := wl.primary(tech.Vdd)
-	opt := sta.Options{Mode: sta.ModeMIS, Horizon: wl.horizon, Dt: sess.Cfg.Dt}
-	ctx := context.Background()
-
-	probeRuns := 3
-	if len(wl.wl.NL.Instances) > 50 {
-		probeRuns = 1
-	}
-	probe := &obsProbe{
-		Netlist: wl.wl.Name,
-		Stages:  len(wl.wl.NL.Instances),
-		Workers: workers,
-		Runs:    probeRuns,
-	}
-
-	for _, kind := range []engine.BackendKind{engine.BackendCSM, engine.BackendNLDM, engine.BackendHybrid} {
-		spec := engine.BackendSpec{Kind: kind, Tech: tech, CSM: sess.Cfg.CharCfg}
-		// Warm every cache (CSM models, NLDM tables) outside the timed
-		// passes, so all three variants measure analysis on identical
-		// warm state.
-		if _, err := eng.AnalyzeBackend(ctx, spec, wl.wl.NL, primary, opt); err != nil {
-			return nil, err
-		}
-
-		row := obsBackendRow{
-			Backend:         string(kind),
-			BaselineSeconds: math.Inf(1), DisabledSeconds: math.Inf(1), EnabledSeconds: math.Inf(1),
-		}
-		for i := 0; i < probeRuns; i++ {
-			start := time.Now()
-			plan, err := eng.PlanBackend(ctx, spec, wl.wl.NL, primary, opt)
-			if err != nil {
-				return nil, err
-			}
-			gcfg := plan.GraphConfig(workers, nil)
-			gcfg.ShareNetlist = true
-			g, err := graph.Build(wl.wl.NL, plan.Models, primary, opt, gcfg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := g.Propagate(ctx); err != nil {
-				return nil, err
-			}
-			if s := time.Since(start).Seconds(); s < row.BaselineSeconds {
-				row.BaselineSeconds = s
-			}
-
-			start = time.Now()
-			if _, err := eng.AnalyzeBackend(ctx, spec, wl.wl.NL, primary, opt); err != nil {
-				return nil, err
-			}
-			if s := time.Since(start).Seconds(); s < row.DisabledSeconds {
-				row.DisabledSeconds = s
-			}
-
-			start = time.Now()
-			tr := obs.New("probe")
-			if _, err := eng.AnalyzeBackend(obs.WithSpan(ctx, tr.Root()), spec, wl.wl.NL, primary, opt); err != nil {
-				return nil, err
-			}
-			tree := tr.Finish()
-			if s := time.Since(start).Seconds(); s < row.EnabledSeconds {
-				row.EnabledSeconds = s
-			}
-			row.TraceSpans = tree.CountSpans()
-		}
-		if row.BaselineSeconds > 0 {
-			row.DisabledOverheadPct = 100 * (row.DisabledSeconds - row.BaselineSeconds) / row.BaselineSeconds
-			row.EnabledOverheadPct = 100 * (row.EnabledSeconds - row.BaselineSeconds) / row.BaselineSeconds
-		}
-		probe.Backends = append(probe.Backends, row)
-	}
-
-	// HTTP phase: untraced vs traced req/s on a fresh in-process server
-	// sharing the session's model cache.
-	srv := service.NewWithEngine(service.Config{}, engine.New(workers, sess.Engine().Cache()))
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	req := wl.staReq
-	req.Config = "default"
-	if quick {
-		req.Config = "fast"
-	}
-	req.Dt = strconv.FormatFloat(sess.Cfg.Dt, 'g', -1, 64)
-	plainBody, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	req.Trace = true
-	tracedBody, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-
-	post := func(body []byte) ([]byte, error) {
-		resp, err := http.Post(ts.URL+"/v1/sta", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("obs probe: status %d: %s", resp.StatusCode, data)
-		}
-		return data, nil
-	}
-
-	// Warm-up request fills the model cache and netlist LRU.
-	want, err := post(plainBody)
-	if err != nil {
-		return nil, err
-	}
-
-	httpN := 16
-	if len(wl.wl.NL.Instances) > 50 {
-		httpN = 3
-	}
-	start := time.Now()
-	for i := 0; i < httpN; i++ {
-		if _, err := post(plainBody); err != nil {
-			return nil, err
-		}
-	}
-	untracedSec := time.Since(start).Seconds()
-
-	probe.ReportBitIdentical = true
-	start = time.Now()
-	for i := 0; i < httpN; i++ {
-		body, err := post(tracedBody)
-		if err != nil {
-			return nil, err
-		}
-		var reply service.TracedReply
-		if err := json.Unmarshal(body, &reply); err != nil {
-			return nil, fmt.Errorf("obs probe: traced reply: %w", err)
-		}
-		rep := append(append([]byte(nil), reply.Report...), '\n')
-		if !bytes.Equal(rep, want) || reply.Trace == nil {
-			probe.ReportBitIdentical = false
-		}
-	}
-	tracedSec := time.Since(start).Seconds()
-
-	if untracedSec > 0 {
-		probe.UntracedReqPerSec = float64(httpN) / untracedSec
-		probe.TracedHTTPPct = 100 * (tracedSec - untracedSec) / untracedSec
-	}
-	if tracedSec > 0 {
-		probe.TracedReqPerSec = float64(httpN) / tracedSec
-	}
-	return probe, nil
-}
-
-// runCharProbe measures cold characterization on the NAND2 MCSM at
-// csm.CoarseConfig() — the config the golden fixtures pin, so the probe is
-// stable PR over PR. It times the exact path with a process-Mallocs delta
-// (allocs/point), times the Config.Fast path against it, and reports the
-// fast-vs-exact stage-delay divergence over the MIS probe grid using the
-// two just-characterized models from a shared cache.
-func runCharProbe(sess *experiments.Session) (*charProbe, error) {
-	tech := sess.Cfg.Tech
-	spec, err := cells.Get("NAND2")
-	if err != nil {
-		return nil, err
-	}
-	kind := engine.KindFor(spec)
-	exactCfg := csm.CoarseConfig()
-	fastCfg := exactCfg
-	fastCfg.Fast = true
-
-	cache := engine.New(1, nil).Cache()
-
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	model, err := cache.Get(tech, spec, kind, exactCfg)
-	if err != nil {
-		return nil, err
-	}
-	coldSec := time.Since(start).Seconds()
-	runtime.ReadMemStats(&m1)
-	points := model.Io.Size()
-
-	start = time.Now()
-	if _, err := cache.Get(tech, spec, kind, fastCfg); err != nil {
-		return nil, err
-	}
-	fastSec := time.Since(start).Seconds()
-
-	grid := sweep.ProbeGrid()
-	se, err := sweep.New(engine.New(1, cache), sweep.Config{Tech: tech, CharCfg: exactCfg, Dt: sess.Cfg.Dt}).Sweep(spec.Name, grid)
-	if err != nil {
-		return nil, err
-	}
-	sf, err := sweep.New(engine.New(1, cache), sweep.Config{Tech: tech, CharCfg: fastCfg, Dt: sess.Cfg.Dt}).Sweep(spec.Name, grid)
-	if err != nil {
-		return nil, err
-	}
-	var maxErr float64
-	for i := range se.Results {
-		if d := math.Abs(sf.Results[i].Delay - se.Results[i].Delay); d > maxErr {
-			maxErr = d
-		}
-	}
-
-	probe := &charProbe{
-		Cell: spec.Name, Kind: kind.String(), GridPoints: points,
-		ColdSeconds: coldSec, FastSeconds: fastSec,
-		AllocsPerPoint:   float64(m1.Mallocs-m0.Mallocs) / float64(points),
-		FastMaxDelayErrS: maxErr,
-	}
-	if coldSec > 0 {
-		probe.ColdPointsPerSec = float64(points) / coldSec
-	}
-	if fastSec > 0 {
-		probe.FastSpeedup = coldSec / fastSec
-	}
-	return probe, nil
 }
 
 func fatal(err error) {

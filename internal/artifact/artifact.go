@@ -1,6 +1,6 @@
 // Package artifact is the versioned binary serialization of characterized
-// CSM models — the serving format the model-cache spill promotes the JSON
-// codec to.
+// CSM models — the model cache's only spill format. JSON stays the export
+// format (csm.LoadModel, mcsm-char -pack/-unpack converts between them).
 //
 // A characterized model is a pure function of its cache key (technology,
 // cell spec, model kind, characterization config), which makes it the
@@ -25,8 +25,8 @@
 // magic, an unknown version, a CRC mismatch (truncation, bit rot), any
 // structurally inconsistent payload (csm.Model.Validate), and — when the
 // caller supplies a non-zero expected key — a key-hash mismatch. The
-// model-cache reload path treats every rejection identically to a corrupt
-// JSON spill: count it, log it, re-characterize.
+// model-cache reload path treats every rejection alike: count it, log
+// it, re-characterize.
 package artifact
 
 import (

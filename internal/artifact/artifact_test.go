@@ -217,8 +217,8 @@ func TestRoundTripBitExact(t *testing.T) {
 	}
 }
 
-// TestJSONEquivalence pins the promotion contract: converting a model
-// through the binary artifact and through the legacy JSON codec yields
+// TestJSONEquivalence pins the pack/unpack contract: converting a model
+// through the binary artifact and through the JSON export codec yields
 // bit-identical models, in both directions.
 func TestJSONEquivalence(t *testing.T) {
 	for _, tc := range []struct {

@@ -73,7 +73,7 @@ type EngineFlags struct {
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Parallel, "parallel", 0, "worker-pool width for level-parallel analysis (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&ef.CacheDir, "cache", "", "model cache directory: spill characterized models (binary .mcsm artifact plus JSON) and reload them on later runs")
+	fs.StringVar(&ef.CacheDir, "cache", "", "model cache directory: spill characterized models as binary .mcsm artifacts and reload them on later runs")
 	return ef
 }
 
@@ -368,19 +368,12 @@ func LoadMCSpec(path string) (*mc.Spec, error) {
 	return mc.ParseSpec(data)
 }
 
-// BuildGraph constructs the retained incremental timing graph for a
+// BuildGraphCtx constructs the retained incremental timing graph for a
 // loaded workload on an engine: models come from the engine's shared
 // cache (with characterize-on-demand for cell types that SwapCell edits
 // introduce), and the initial full propagation runs before returning, so
-// the caller starts from converged state.
-func BuildGraph(eng *engine.Engine, tech cells.Tech, wl *Workload, cfg csm.Config, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, error) {
-	g, _, err := BuildGraphCtx(context.Background(), eng, tech, wl, cfg, primary, opt)
-	return g, err
-}
-
-// BuildGraphCtx is BuildGraph with cooperative cancellation for the
-// initial propagation and its stats exposed: BuildBackendGraphCtx under
-// the csm backend.
+// the caller starts from converged state. It is BuildBackendGraphCtx
+// under the csm backend; ctx cancels the initial propagation.
 func BuildGraphCtx(ctx context.Context, eng *engine.Engine, tech cells.Tech, wl *Workload, cfg csm.Config, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, graph.Stats, error) {
 	g, _, stats, err := BuildBackendGraphCtx(ctx, eng, tech, wl,
 		engine.BackendSpec{Kind: engine.BackendCSM, Tech: tech, CSM: cfg}, primary, opt)

@@ -301,13 +301,13 @@ func TestBuildGraph(t *testing.T) {
 	eng := engine.New(1, nil)
 	tech := cells.Default130()
 	const horizon = 4e-9
-	g, err := BuildGraph(eng, tech, wl, csm.CoarseConfig(), sta.C17Stimulus(tech.Vdd, horizon),
-		sta.Options{Horizon: horizon, Dt: 4e-12})
+	g, _, err := BuildGraphCtx(context.Background(), eng, tech, wl, csm.CoarseConfig(),
+		sta.C17Stimulus(tech.Vdd, horizon), sta.Options{Horizon: horizon, Dt: 4e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.DirtyCount() != 0 {
-		t.Fatalf("%d stages dirty after BuildGraph", g.DirtyCount())
+		t.Fatalf("%d stages dirty after BuildGraphCtx", g.DirtyCount())
 	}
 	if g.StageEvals() != int64(len(wl.NL.Instances)) {
 		t.Errorf("stage evals = %d, want %d", g.StageEvals(), len(wl.NL.Instances))

@@ -224,9 +224,6 @@ func (c *Cell) SetAuxBase(base int) { c.vnAux = base }
 // Valid only for KindMCSM models after engine construction.
 func (c *Cell) VNIndex() int { return c.vnAux }
 
-// SetVNInit sets the DC initial guess for the internal node.
-func (c *Cell) SetVNInit(v float64) { c.vnInit = v }
-
 // InitGuess seeds the internal-node unknown before DC analysis.
 func (c *Cell) InitGuess(x []float64) {
 	if c.model.Kind == KindMCSM {

@@ -189,13 +189,6 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// ReceiverCapAt returns the total receiver (input pin) capacitance of
-// modeled input i at input voltage v — the Eq. 3 load this cell presents
-// to its driver when the cell itself is not simulated.
-func (m *Model) ReceiverCapAt(i int, v float64) float64 {
-	return m.CPin[i].At(v)
-}
-
 // MeanInternalCap returns the average CN over the table, used by the §3.4
 // selective-modeling policy to compare internal charge storage against the
 // external load.

@@ -10,7 +10,8 @@
 // characterization is amortized across many evaluations. ModelCache is
 // that amortization point: every consumer (the STA engine, the experiment
 // session, the CLIs, the benches) characterizes through one shared,
-// singleflight-deduplicated registry with optional JSON spill to disk.
+// singleflight-deduplicated registry with optional spill to disk as
+// binary model artifacts.
 package engine
 
 import (
@@ -35,8 +36,8 @@ import (
 // Concurrent Gets of the same key are deduplicated singleflight-style —
 // exactly one goroutine characterizes while the others block on the result.
 // With a spill directory set, models are persisted as binary artifacts
-// (internal/artifact) with a JSON copy alongside, and reloaded instead of
-// re-characterized across processes.
+// (internal/artifact) and reloaded instead of re-characterized across
+// processes.
 type ModelCache struct {
 	dir string // spill directory ("" = in-memory only)
 
@@ -48,9 +49,6 @@ type ModelCache struct {
 	diskHits     int64 // subset of misses satisfied by a spill-file reload
 	spillRejects int64 // spill files rejected as corrupt/mismatched and re-characterized
 
-	// Reload-format attribution: how each miss was ultimately satisfied.
-	binaryReloads int64         // spill reloads served by the binary artifact
-	jsonReloads   int64         // spill reloads served by the legacy JSON fallback
 	characterized int64         // misses that ran the full SPICE-backed characterization
 	reloadHist    obs.Histogram // latency of successful spill reloads (disk → validated model)
 	charHist      obs.Histogram // duration of every csm.Characterize call, failed ones included
@@ -79,8 +77,8 @@ func (c *ModelCache) SetLogf(f func(format string, args ...any)) {
 }
 
 // NewSpillCache returns a cache that additionally persists characterized
-// models (binary artifact plus JSON) under dir and reloads them on later
-// misses (also across processes). dir is created on first spill; an empty
+// models as binary artifacts under dir and reloads them on later misses
+// (also across processes). dir is created on first spill; an empty
 // dir yields a plain in-memory cache, so callers can pass an optional flag
 // through unconditionally.
 func NewSpillCache(dir string) *ModelCache {
@@ -148,12 +146,9 @@ func (c *ModelCache) GetOutcome(tech cells.Tech, spec cells.Spec, kind csm.Kind,
 	return e.model, outcome, e.err
 }
 
-// build satisfies a cache miss: reload from a spill artifact when possible,
-// otherwise characterize (and spill, best-effort). The binary artifact is
-// tried first (the serving format — raw float bits, CRC-verified, several
-// times faster to parse), then the legacy JSON spill as a fallback; a JSON
-// reload is promoted to a binary artifact in place so the next process
-// takes the fast path. A spill file that fails to decode or validate —
+// build satisfies a cache miss: reload from the spill artifact when
+// possible (raw float bits, CRC-verified), otherwise characterize (and
+// spill, best-effort). A spill file that fails to decode or validate —
 // truncated by a crashed writer, mangled on disk, or belonging to a
 // different cell or characterization identity — must never surface its
 // decode error to the caller or, worse, hand back a structurally broken
@@ -161,38 +156,25 @@ func (c *ModelCache) GetOutcome(tech cells.Tech, spec cells.Spec, kind csm.Kind,
 // counter) and the key is transparently re-characterized, overwriting the
 // bad file.
 func (c *ModelCache) build(key string, tech cells.Tech, spec cells.Spec, kind csm.Kind, cfg csm.Config) (*csm.Model, Outcome, error) {
-	var binPath, jsonPath string
+	var path string
 	var keyHash uint64
 	if c.dir != "" {
 		keyHash = keyFNV(key)
-		base := c.spillBase(spec, kind, keyHash)
-		binPath, jsonPath = base+artifact.Ext, base+".json"
+		path = c.spillPath(spec, kind, keyHash)
 
 		start := time.Now()
-		m, err := artifact.Load(binPath, keyHash)
+		m, err := artifact.Load(path, keyHash)
 		switch {
 		case err == nil && m.Cell == spec.Name:
-			c.reloaded(&c.binaryReloads, start)
+			c.mu.Lock()
+			c.diskHits++
+			c.mu.Unlock()
+			c.reloadHist.ObserveSince(start)
 			return m, OutcomeDisk, nil
 		case err == nil:
-			c.reject(binPath, fmt.Errorf("model is for cell %q, want %q", m.Cell, spec.Name))
+			c.reject(path, fmt.Errorf("model is for cell %q, want %q", m.Cell, spec.Name))
 		case !errors.Is(err, fs.ErrNotExist):
-			c.reject(binPath, err)
-		}
-
-		start = time.Now()
-		m, err = csm.LoadModel(jsonPath)
-		switch {
-		case err == nil && m.Cell == spec.Name:
-			c.reloaded(&c.jsonReloads, start)
-			// Promote: the very bytes we just validated, re-packed as the
-			// binary artifact, so this key never pays the JSON parse again.
-			_ = artifact.Save(binPath, m, keyHash)
-			return m, OutcomeDisk, nil
-		case err == nil:
-			c.reject(jsonPath, fmt.Errorf("model is for cell %q, want %q", m.Cell, spec.Name))
-		case !errors.Is(err, fs.ErrNotExist):
-			c.reject(jsonPath, err)
+			c.reject(path, err)
 		}
 	}
 	start := time.Now()
@@ -204,26 +186,13 @@ func (c *ModelCache) build(key string, tech cells.Tech, spec cells.Spec, kind cs
 	if err != nil {
 		return nil, OutcomeCharacterized, err
 	}
-	if binPath != "" {
+	if path != "" {
+		// Spill is best-effort: a full disk must not fail the Get.
 		if mkErr := os.MkdirAll(c.dir, 0o755); mkErr == nil {
-			// Spill is best-effort: a full disk must not fail the Get. The
-			// binary artifact is the primary spill; JSON is written alongside
-			// it for older readers and human inspection.
-			_ = artifact.Save(binPath, m, keyHash)
-			_ = m.Save(jsonPath)
+			_ = artifact.Save(path, m, keyHash)
 		}
 	}
 	return m, OutcomeCharacterized, nil
-}
-
-// reloaded books a successful spill reload: the shared disk-hit counter,
-// the per-format attribution counter, and the reload-latency histogram.
-func (c *ModelCache) reloaded(formatCounter *int64, start time.Time) {
-	c.mu.Lock()
-	c.diskHits++
-	*formatCounter++
-	c.mu.Unlock()
-	c.reloadHist.ObserveSince(start)
 }
 
 // reject records a corrupt or mismatched spill file. The file itself is
@@ -248,13 +217,12 @@ func keyFNV(key string) uint64 {
 	return h.Sum64()
 }
 
-// spillBase names the spill file for a key, sans extension (.mcsm for the
-// binary artifact, .json for the legacy fallback): readable prefix plus the
+// spillPath names the spill artifact for a key: readable prefix plus the
 // FNV-64a fingerprint of the full key, so distinct configs of the same cell
 // never collide.
-func (c *ModelCache) spillBase(spec cells.Spec, kind csm.Kind, keyHash uint64) string {
+func (c *ModelCache) spillPath(spec cells.Spec, kind csm.Kind, keyHash uint64) string {
 	slug := strings.ToLower(strings.ReplaceAll(kind.String(), "-", ""))
-	return filepath.Join(c.dir, fmt.Sprintf("%s_%s_%016x", strings.ToLower(spec.Name), slug, keyHash))
+	return filepath.Join(c.dir, fmt.Sprintf("%s_%s_%016x%s", strings.ToLower(spec.Name), slug, keyHash, artifact.Ext))
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.
@@ -265,11 +233,9 @@ type CacheStats struct {
 	SpillRejects int64 // corrupt/mismatched spill files rejected and re-characterized
 	Entries      int   // distinct keys resident
 
-	// Reload-format attribution (BinaryReloads+JSONReloads == DiskHits;
-	// Characterized counts full SPICE-backed builds, including failures).
-	BinaryReloads int64 // reloads served by the binary .mcsm artifact
-	JSONReloads   int64 // reloads served by the legacy JSON fallback
-	Characterized int64 // misses that ran the full characterization
+	// Characterized counts misses that ran the full SPICE-backed
+	// characterization, failed ones included.
+	Characterized int64
 }
 
 // HitRate is Hits/(Hits+Misses), 0 when the cache is unused.
@@ -288,7 +254,6 @@ func (c *ModelCache) Stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits,
 		SpillRejects: c.spillRejects, Entries: len(c.entries),
-		BinaryReloads: c.binaryReloads, JSONReloads: c.jsonReloads,
 		Characterized: c.characterized,
 	}
 }

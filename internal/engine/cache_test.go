@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"mcsm/internal/artifact"
 	"mcsm/internal/cells"
 	"mcsm/internal/csm"
 	"mcsm/internal/units"
@@ -117,13 +119,12 @@ func TestModelCacheSpill(t *testing.T) {
 	if st := c1.Stats(); st.DiskHits != 0 || st.Characterized != 1 {
 		t.Errorf("first run stats = %+v, want 0 disk hits / 1 characterization", st)
 	}
-	// The spill is written in both formats: the binary artifact (primary)
-	// and the legacy JSON (fallback + human inspection).
+	// The spill is exactly one binary artifact.
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 || !strings.HasSuffix(files[0].Name(), ".json") || !strings.HasSuffix(files[1].Name(), ".mcsm") {
+	if len(files) != 1 || !strings.HasSuffix(files[0].Name(), ".mcsm") {
 		t.Fatalf("spill dir contents: %v", files)
 	}
 
@@ -136,9 +137,10 @@ func TestModelCacheSpill(t *testing.T) {
 	if st.DiskHits != 1 || st.Misses != 1 {
 		t.Errorf("reload stats = %+v, want 1 miss satisfied from disk", st)
 	}
-	// The reload must have taken the binary path, and timed it.
-	if st.BinaryReloads != 1 || st.JSONReloads != 0 || st.Characterized != 0 {
-		t.Errorf("reload stats = %+v, want the binary artifact to serve the miss", st)
+	// The reload must have served the miss without characterizing, and
+	// timed it.
+	if st.Characterized != 0 {
+		t.Errorf("reload stats = %+v, want the artifact to serve the miss", st)
 	}
 	if lat := c2.ReloadLatency(); lat.Count != 1 {
 		t.Errorf("reload latency count = %d, want 1", lat.Count)
@@ -171,24 +173,16 @@ func TestModelCacheCorruptSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, err := os.ReadDir(dir)
-	if err != nil || len(files) != 2 {
+	if err != nil || len(files) != 1 {
 		t.Fatalf("spill dir contents: %v (err %v)", files, err)
 	}
-	jsonPath := dir + "/" + files[0].Name() // sorted: .json before .mcsm
-	binPath := dir + "/" + files[1].Name()
-	origJSON, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	binPath := filepath.Join(dir, files[0].Name())
 	origBin, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restore := func(t *testing.T) {
 		t.Helper()
-		if err := os.WriteFile(jsonPath, origJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(binPath, origBin, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -203,45 +197,18 @@ func TestModelCacheCorruptSpill(t *testing.T) {
 		return c
 	}
 
-	// A corrupt binary artifact with an intact JSON spill falls back to the
-	// JSON reload — a disk hit, not a re-characterization — and re-promotes
-	// the binary in place.
-	t.Run("binary corrupt, json fallback", func(t *testing.T) {
-		restore(t)
-		if err := os.WriteFile(binPath, origBin[:len(origBin)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var logged bytes.Buffer
-		var logMu sync.Mutex
-		c := loggingCache(&logged, &logMu)
-		m, err := c.Get(tech, spec, csm.KindSIS, invConfig())
-		if err != nil {
-			t.Fatalf("Get surfaced the binary spill failure: %v", err)
-		}
-		if m.Cell != m1.Cell {
-			t.Fatalf("fallback model is broken: %+v", m)
-		}
-		st := c.Stats()
-		if st.SpillRejects != 1 || st.DiskHits != 1 || st.JSONReloads != 1 || st.BinaryReloads != 0 || st.Characterized != 0 {
-			t.Errorf("stats = %+v, want 1 reject + 1 JSON disk hit", st)
-		}
-		if !strings.Contains(logged.String(), "rejecting corrupt spill file") {
-			t.Errorf("no rejection diagnostic in %q", logged.String())
-		}
-		// The promotion must have repaired the binary: a fresh cache takes
-		// the fast path again.
-		c2 := NewSpillCache(dir)
-		if _, err := c2.Get(tech, spec, csm.KindSIS, invConfig()); err != nil {
-			t.Fatal(err)
-		}
-		if st := c2.Stats(); st.BinaryReloads != 1 || st.SpillRejects != 0 {
-			t.Errorf("post-promotion stats = %+v, want a clean binary reload", st)
-		}
-	})
+	// An artifact that decodes and validates under the right key but
+	// holds another cell's model.
+	wrongCell := *m1
+	wrongCell.Cell = "NOR9"
+	wrongBin, err := artifact.Encode(&wrongCell, keyFNV(Key(tech, spec, csm.KindSIS, invConfig())))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Binary-only corruptions (no JSON fallback present): every artifact
-	// failure mode must be rejected with a diagnostic and transparently
-	// re-characterized — never surfaced, never a half-decoded model.
+	// Every artifact failure mode must be rejected with a diagnostic and
+	// transparently re-characterized — never surfaced, never a
+	// half-decoded model.
 	binCorruptions := []struct {
 		name   string
 		mangle func(d []byte) []byte
@@ -261,13 +228,11 @@ func TestModelCacheCorruptSpill(t *testing.T) {
 			return out
 		}},
 		{"empty file", func([]byte) []byte { return nil }},
+		{"wrong cell", func([]byte) []byte { return wrongBin }},
 	}
 	for _, tc := range binCorruptions {
 		t.Run("binary "+tc.name, func(t *testing.T) {
 			restore(t)
-			if err := os.Remove(jsonPath); err != nil {
-				t.Fatal(err)
-			}
 			if err := os.WriteFile(binPath, tc.mangle(origBin), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -293,69 +258,35 @@ func TestModelCacheCorruptSpill(t *testing.T) {
 			if _, err := c2.Get(tech, spec, csm.KindSIS, invConfig()); err != nil {
 				t.Fatal(err)
 			}
-			if st := c2.Stats(); st.DiskHits != 1 || st.BinaryReloads != 1 || st.SpillRejects != 0 {
-				t.Errorf("post-repair stats = %+v, want a clean binary disk hit", st)
-			}
-		})
-	}
-
-	// Legacy JSON corruptions with no binary artifact present — the
-	// original SpillRejects contract, unchanged.
-	jsonCorruptions := []struct {
-		name    string
-		mangle  func(data []byte) []byte
-		wantLog string
-	}{
-		// A crashed writer leaves a JSON prefix that no longer parses.
-		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }, "rejecting corrupt spill file"},
-		// Valid JSON, but not a model: decodes then fails validation.
-		{"empty object", func([]byte) []byte { return []byte("{}") }, "rejecting corrupt spill file"},
-		// Decodes and validates, but belongs to a different cell.
-		{"wrong cell", func(d []byte) []byte {
-			return bytes.Replace(d, []byte(`"cell": "INV"`), []byte(`"cell": "NOR9"`), 1)
-		}, "want \"INV\""},
-	}
-	for _, tc := range jsonCorruptions {
-		t.Run("json "+tc.name, func(t *testing.T) {
-			restore(t)
-			if err := os.Remove(binPath); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(jsonPath, tc.mangle(origJSON), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var logged bytes.Buffer
-			var logMu sync.Mutex
-			c := loggingCache(&logged, &logMu)
-			m, err := c.Get(tech, spec, csm.KindSIS, invConfig())
-			if err != nil {
-				t.Fatalf("Get surfaced the spill failure instead of re-characterizing: %v", err)
-			}
-			if m.Cell != m1.Cell || m.Io == nil {
-				t.Fatalf("re-characterized model is broken: %+v", m)
-			}
-			st := c.Stats()
-			if st.SpillRejects != 1 || st.DiskHits != 0 || st.Misses != 1 {
-				t.Errorf("stats = %+v, want 1 spill reject, 0 disk hits, 1 miss", st)
-			}
-			if !strings.Contains(logged.String(), tc.wantLog) {
-				t.Errorf("diagnostic %q does not mention %q", logged.String(), tc.wantLog)
-			}
-			// The bad file must have been repaired: a fresh cache reloads.
-			c2 := NewSpillCache(dir)
-			if _, err := c2.Get(tech, spec, csm.KindSIS, invConfig()); err != nil {
-				t.Fatal(err)
-			}
 			if st := c2.Stats(); st.DiskHits != 1 || st.SpillRejects != 0 {
 				t.Errorf("post-repair stats = %+v, want a clean disk hit", st)
 			}
 		})
 	}
 
-	// Merely missing files are a plain miss, not a reject.
-	if err := os.Remove(jsonPath); err != nil {
-		t.Fatal(err)
-	}
+	// A directory spilled before the binary artifact existed holds only
+	// JSON models. The cache never reads them: the key re-characterizes
+	// once, without a reject, and writes the artifact beside the JSON.
+	t.Run("legacy json only", func(t *testing.T) {
+		if err := os.Remove(binPath); err != nil {
+			t.Fatal(err)
+		}
+		if err := m1.Save(strings.TrimSuffix(binPath, ".mcsm") + ".json"); err != nil {
+			t.Fatal(err)
+		}
+		c := NewSpillCache(dir)
+		if _, err := c.Get(tech, spec, csm.KindSIS, invConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Characterized != 1 || st.DiskHits != 0 || st.SpillRejects != 0 {
+			t.Errorf("stats = %+v, want one clean characterization", st)
+		}
+		if got, err := os.ReadFile(binPath); err != nil || !bytes.Equal(got, origBin) {
+			t.Errorf("artifact not rewritten byte-identically (err %v)", err)
+		}
+	})
+
+	// A merely missing file is a plain miss, not a reject.
 	if err := os.Remove(binPath); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // directions, every waveform sample, and the MIS instance list. Floats are
 // compared by bit pattern so identical NaNs (never-switching nets) count
 // as equal. Nil reports are handled: two nils are identical, a nil and a
-// non-nil are not. Used by the engine's equivalence tests, the golden
-// regression fixtures, and cmd/mcsm-bench's -json probe.
+// non-nil are not. Used by the engine's equivalence tests and the golden
+// regression fixtures.
 func ReportsIdentical(a, b *sta.Report) bool {
 	if a == nil || b == nil {
 		return a == b

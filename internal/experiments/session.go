@@ -24,8 +24,8 @@ type Config struct {
 	// analyses (0 = GOMAXPROCS, 1 = serial). Results are bit-identical
 	// either way; this only trades wall time.
 	Workers int
-	// CacheDir, when set, spills characterized models (binary artifact
-	// plus JSON) under this directory and reloads them across sessions.
+	// CacheDir, when set, spills characterized models (binary artifacts)
+	// under this directory and reloads them across sessions.
 	CacheDir string
 }
 
@@ -66,9 +66,6 @@ func NewSession(cfg Config) *Session {
 
 // Engine returns the session's evaluation engine (scheduler + cache).
 func (s *Session) Engine() *engine.Engine { return s.eng }
-
-// CacheStats snapshots the session's characterization-cache counters.
-func (s *Session) CacheStats() engine.CacheStats { return s.eng.Cache().Stats() }
 
 // Model characterizes (or returns the cached) model for a catalog cell.
 func (s *Session) Model(cell string, kind csm.Kind) (*csm.Model, error) {

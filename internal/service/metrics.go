@@ -130,10 +130,8 @@ type ModelCacheMetrics struct {
 	SpillRejects int64   `json:"spill_rejects"`
 	Entries      int     `json:"entries"`
 	HitRate      float64 `json:"hit_rate"`
-	// Reload-format attribution: how misses were satisfied — the binary
-	// .mcsm artifact, the legacy JSON fallback, or a full characterization.
-	BinaryReloads int64 `json:"binary_reloads"`
-	JSONReloads   int64 `json:"json_reloads"`
+	// Characterized counts misses that ran a full characterization
+	// rather than a spill reload (DiskHits).
 	Characterized int64 `json:"characterized"`
 }
 
@@ -270,7 +268,6 @@ func (s *Server) Snapshot() Metrics {
 		ModelCache: ModelCacheMetrics{
 			Hits: cs.Hits, Misses: cs.Misses, DiskHits: cs.DiskHits,
 			SpillRejects: cs.SpillRejects, Entries: cs.Entries, HitRate: cs.HitRate(),
-			BinaryReloads: cs.BinaryReloads, JSONReloads: cs.JSONReloads,
 			Characterized: cs.Characterized,
 		},
 		Batch: BatchMetrics{

@@ -112,6 +112,10 @@ func TestMetricsLatencyAndErrors(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/sta", map[string]any{"bogus_field": 1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus request status %d, want 400", resp.StatusCode)
 	}
+	batch := BatchSTARequest{Items: []STARequest{invRequest(), invRequest()}}
+	if resp, body := postJSON(t, ts.URL+"/v1/sta:batch", batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
 
 	m := getMetrics(t, ts.URL)
 	for _, ep := range endpointNames {
@@ -133,6 +137,9 @@ func TestMetricsLatencyAndErrors(t *testing.T) {
 	}
 	if sta.P50Ms <= 0 || sta.P99Ms < sta.P50Ms {
 		t.Errorf("sta quantiles implausible: p50 %g ms, p99 %g ms", sta.P50Ms, sta.P99Ms)
+	}
+	if n := m.Latency.Endpoints["sta_batch"].Count; n < 1 {
+		t.Errorf("sta_batch latency count %d, want >= 1", n)
 	}
 	if csm := m.Latency.Backends["csm"]; csm.Count < 1 {
 		t.Errorf("csm backend latency count %d, want >= 1", csm.Count)

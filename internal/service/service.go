@@ -23,7 +23,7 @@
 //
 // Four layers of work-sharing stack up:
 //
-//  1. The engine's ModelCache (singleflight, optional JSON spill):
+//  1. The engine's ModelCache (singleflight, optional artifact spill):
 //     characterization runs at most once per model identity, server-wide.
 //  2. A content-hash-keyed LRU of parsed+leveled netlists: repeat
 //     analyses of the same source text skip parsing, mapping, and
@@ -57,8 +57,8 @@ type Config struct {
 	// Workers is the engine worker-pool width per analysis
 	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical either way.
 	Workers int
-	// CacheDir, when set, spills characterized models (binary artifact
-	// plus JSON) and reloads them across server restarts.
+	// CacheDir, when set, spills characterized models (binary artifacts)
+	// and reloads them across server restarts.
 	CacheDir string
 	// MaxInFlight bounds the number of analyses computing concurrently;
 	// excess requests queue (respecting their deadlines). Coalesced
@@ -143,8 +143,8 @@ func New(cfg Config) *Server {
 
 // NewWithEngine builds a server on an existing engine, sharing its model
 // cache and pool width — how mcsm-serve injects its flag-built engine and
-// mcsm-bench's serve probe reuses the models the experiment session
-// already characterized. cfg.Workers/CacheDir are ignored when eng is
+// the service benchmarks reuse the models a session already
+// characterized. cfg.Workers/CacheDir are ignored when eng is
 // non-nil; cfg.Logf becomes the cache's diagnostics sink either way.
 func NewWithEngine(cfg Config, eng *engine.Engine) *Server {
 	cfg = cfg.withDefaults()

@@ -4,10 +4,9 @@ import "mcsm/internal/wave"
 
 // C17Netlist is ISCAS85's smallest benchmark — six NAND2 gates in three
 // two-wide topological levels with reconvergent fanout. It is the
-// repository's standard perf-probe and equivalence workload, shared by the
+// repository's standard benchmark and equivalence workload, shared by the
 // sta and engine tests, the root benchmarks, the golden regression
-// fixtures, and cmd/mcsm-bench's -json probe so all of them measure the
-// same stimulus.
+// fixtures, and perfbench so all of them measure the same stimulus.
 const C17Netlist = `
 input n1 n2 n3 n6 n7
 output n22 n23

@@ -111,12 +111,11 @@ func QuickGrid() Grid {
 	}
 }
 
-// ProbeGrid is the compact fixed grid of the perf probes (mcsm-bench's
-// sweep_probe and the root BenchmarkSweepProbe pair): five skews across
-// the simultaneous event, one slew, one load — small enough to run every
-// -json pass, stable PR over PR like the c17 STA baseline. Both probe
-// sites must share this one definition so their throughput numbers stay
-// comparable.
+// ProbeGrid is the compact fixed grid of the root BenchmarkSweepProbe
+// pair, mcsm-char -check-exact and the fast-characterization accuracy
+// test: five skews across the simultaneous event, one slew, one load —
+// small enough to run on every check, and one definition so their
+// numbers stay comparable.
 func ProbeGrid() Grid {
 	return Grid{
 		Skews: Span(-120e-12, 120e-12, 60e-12),
