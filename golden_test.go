@@ -15,14 +15,18 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -34,9 +38,11 @@ import (
 	"mcsm/internal/graph"
 	"mcsm/internal/mc"
 	"mcsm/internal/netlist"
+	"mcsm/internal/nldm"
 	"mcsm/internal/service"
 	"mcsm/internal/sta"
 	"mcsm/internal/sweep"
+	"mcsm/internal/table"
 	"mcsm/internal/testutil"
 )
 
@@ -806,6 +812,75 @@ func TestGoldenModelDigests(t *testing.T) {
 			for _, gm := range goldenModels {
 				if digests[gm.name] != want[gm.name] {
 					t.Errorf("%s: model bytes drifted (sha256 %s, fixture %s)", gm.name, digests[gm.name], want[gm.name])
+				}
+			}
+		}
+	}
+	body, err := json.MarshalIndent(digests, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.Golden(t, path, append(body, '\n'))
+}
+
+// goldenNLDMCells are the cells whose nldm.DefaultConfig libraries
+// nldm_digests.json pins: the catalogue the hybrid and nldm backends
+// characterize. The report fixtures read only the table cells their
+// stages reach.
+var goldenNLDMCells = []string{"INV", "NAND2", "NOR2", "INV_X2", "NAND2_X2", "NOR2_X2"}
+
+// nldmDigest hashes a canonical encoding of lib: its supply, every pin's
+// input capacitance in pin order, and per arc its identity, table axes and
+// the Float64bits of every Delay and Slew cell.
+func nldmDigest(lib *nldm.Library) string {
+	h := sha256.New()
+	f64 := func(v float64) { _ = binary.Write(h, binary.LittleEndian, math.Float64bits(v)) }
+	f64(lib.Vdd)
+	for _, pin := range slices.Sorted(maps.Keys(lib.InputCap)) {
+		fmt.Fprintf(h, "cap %s\n", pin)
+		f64(lib.InputCap[pin])
+	}
+	for _, a := range lib.Arcs {
+		fmt.Fprintf(h, "arc %s %s in_rise=%t out_rise=%t\n", a.Cell, a.Input, a.InputRise, a.OutRise)
+		for _, tb := range []*table.Table{a.Delay, a.Slew} {
+			for _, ax := range tb.Axes {
+				fmt.Fprintf(h, "axis %s %d\n", ax.Name, len(ax.Points))
+				for _, p := range ax.Points {
+					f64(p)
+				}
+			}
+			for _, v := range tb.Data {
+				f64(v)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenNLDMDigests pins every cell of the goldenNLDMCells libraries
+// at nldm.DefaultConfig bit-for-bit, as TestGoldenModelDigests pins the
+// CSM models.
+func TestGoldenNLDMDigests(t *testing.T) {
+	tech := testutil.Tech()
+	nl := &sta.Netlist{}
+	for _, cell := range goldenNLDMCells {
+		nl.Instances = append(nl.Instances, sta.Instance{Type: cell})
+	}
+	libs, err := goldenEngine().NLDMFor(tech, nl, nldm.DefaultConfig(tech), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	for _, cell := range goldenNLDMCells {
+		digests[cell] = nldmDigest(libs[cell])
+	}
+	path := filepath.Join(goldenDir, "nldm_digests.json")
+	if !*testutil.UpdateGolden {
+		var want map[string]string
+		if raw, err := os.ReadFile(path); err == nil && json.Unmarshal(raw, &want) == nil {
+			for _, cell := range goldenNLDMCells {
+				if digests[cell] != want[cell] {
+					t.Errorf("%s: NLDM table bytes drifted (sha256 %s, fixture %s)", cell, digests[cell], want[cell])
 				}
 			}
 		}
