@@ -148,10 +148,11 @@ func rampPass(m *Model, hs []*harness, cfg Config, axes []table.Axis, r int, mea
 		h.setPoint(vin, vn, vo)
 		for _, slew := range cfg.SlewTimes {
 			slope := (hi - lo) / slew
-			res, timeOf, err := h.runRamp(rampSpec{
+			rs := rampSpec{
 				axis: r, lo: lo, hi: hi, pad: pad,
 				slope: slope, tFlat: settleTime,
-			}, cfg.TranDt, keep...)
+			}
+			res, err := h.runRamp(rs, cfg.TranDt, rs.timeOf(hi), keep...)
 			if err != nil {
 				return err
 			}
@@ -168,7 +169,7 @@ func rampPass(m *Model, hs []*harness, cfg Config, axes []table.Axis, r int, mea
 				iw := res.AuxWave(keep[j])
 				for k, v := range rampPts {
 					idx[r] = k
-					iCap := iw.At(timeOf(v)) - ms.dc.Get(idx...)
+					iCap := iw.At(rs.timeOf(v)) - ms.dc.Get(idx...)
 					acc[j*len(rampPts)+k] += sign * iCap / slope
 				}
 			}

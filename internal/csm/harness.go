@@ -275,11 +275,21 @@ type rampSpec struct {
 	tFlat  float64 // settle time before the ramp starts
 }
 
-// runRamp performs the transient and returns its record plus the time at
-// which the ramp crosses voltage v. keep lists the unknowns the caller
-// reads (the branch currents it measures); the fast path's adaptive run
-// records every unknown.
-func (h *harness) runRamp(rs rampSpec, dt float64, keep ...int) (res *spice.Result, timeOf func(v float64) float64, err error) {
+// timeOf returns the time at which the ramp crosses voltage v.
+func (rs rampSpec) timeOf(v float64) float64 {
+	return rs.tFlat + (v-(rs.lo-rs.pad))/rs.slope
+}
+
+// runRamp performs the transient and returns its record. keep lists the
+// unknowns the caller reads (the branch currents it measures); the fast
+// path's adaptive run records every unknown.
+//
+// The caller reads the record at times up to until (Waveform.At), so the
+// exact run ends at its first sample strictly later than until: the
+// prefix answers every such read as the full record would (see
+// readThrough). The fast path runs to the end, because its accepted
+// steps seed the next ramp.
+func (h *harness) runRamp(rs rampSpec, dt, until float64, keep ...int) (*spice.Result, error) {
 	loPad := rs.lo - rs.pad
 	hiPad := rs.hi + rs.pad
 	duration := (hiPad - loPad) / rs.slope
@@ -288,18 +298,27 @@ func (h *harness) runRamp(rs rampSpec, dt float64, keep ...int) (res *spice.Resu
 	src.SetStimulus(wave.SaturatedRamp(loPad, hiPad, rs.tFlat, duration, end))
 	defer src.SetStimulus(stim)
 
+	var res *spice.Result
+	var err error
 	if h.fast {
 		res, err = h.runRampFast(end, dt)
 	} else {
-		res, err = h.eng.Run(0, end, dt, keep...)
+		res, err = h.eng.RunUntil(0, end, dt, readThrough(until), keep...)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("csm: ramp extraction: %w", err)
+		return nil, fmt.Errorf("csm: ramp extraction: %w", err)
 	}
-	timeOf = func(v float64) float64 {
-		return rs.tFlat + (v-loPad)/rs.slope
-	}
-	return res, timeOf, nil
+	return res, nil
+}
+
+// readThrough is the stop check of a run whose record is read at times up
+// to until: it ends the run at the first sample strictly later than
+// until. Waveform.At(t) reads a prefix exactly as the full record when a
+// sample lies past t: it interpolates the same segment. A prefix ending
+// at a sample equal to t would return that sample where the full record
+// interpolates V[k-1] + 1·(V[k]−V[k-1]), which can differ in the last bit.
+func readThrough(until float64) func(*spice.Result) bool {
+	return func(r *spice.Result) bool { return r.Times[len(r.Times)-1] > until }
 }
 
 // runRampFast is the Config.Fast transient: a warm-started DC solve

@@ -118,10 +118,11 @@ func receiverTransientUnit(m *Model, h *harness, cfg Config, i int, samples, vin
 	src, _ := h.source(i)
 	for row, slew := range cfg.SlewTimes {
 		slope := (hi - lo) / slew
-		res, timeOf, err := h.runRamp(rampSpec{
+		rs := rampSpec{
 			axis: i, lo: lo, hi: hi, pad: pad,
 			slope: slope, tFlat: settleTime,
-		}, cfg.TranDt, src.AuxIndex())
+		}
+		res, err := h.runRamp(rs, cfg.TranDt, rs.timeOf(samples[len(samples)-1]), src.AuxIndex())
 		if err != nil {
 			return fmt.Errorf("csm: receiver ramp %s: %w", m.Inputs[i], err)
 		}
@@ -129,7 +130,7 @@ func receiverTransientUnit(m *Model, h *harness, cfg Config, i int, samples, vin
 		for s, v := range samples {
 			// The input source reads the cell's injection into the pin;
 			// ramping the pin up makes its capacitances draw −C_total·s.
-			total := -iw.At(timeOf(v)) / slope
+			total := -iw.At(rs.timeOf(v)) / slope
 			cpin[row*len(samples)+s] = math.Max(total, 0) // Eq. 3 total pin capacitance
 			vin[i] = v
 			coords = m.Coords(coords, vin, vnAt[s], vo)

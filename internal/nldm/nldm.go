@@ -133,15 +133,35 @@ func characterizeArc(tech cells.Tech, spec cells.Spec, pin string, inputRise boo
 
 // measurePoint runs one transistor-level transient and extracts delay/slew.
 func measurePoint(tech cells.Tech, spec cells.Spec, pin string, inputRise bool, slew, load, dt float64) (delay, outSlew float64, err error) {
+	b := newBench(tech, spec, pin, inputRise, slew, load)
+	res, err := b.run(dt)
+	if err != nil {
+		return 0, 0, err
+	}
+	return b.measure(res.Wave(b.out))
+}
+
+// bench is the transistor-level set-up of one table point: the cell with
+// a saturated ramp on the switching pin, the other inputs parked at their
+// non-controlling levels, and the load capacitor on the output.
+type bench struct {
+	ckt     *spice.Circuit
+	out     spice.Node
+	in      wave.Waveform // the switching pin's stimulus
+	vdd     float64
+	outRise bool // all catalog cells invert
+	horizon float64
+}
+
+func newBench(tech cells.Tech, spec cells.Spec, pin string, inputRise bool, slew, load float64) bench {
 	vdd := tech.Vdd
 	start := 0.3e-9
-	horizon := start + slew + 3e-9
+	b := bench{vdd: vdd, outRise: !inputRise, horizon: start + slew + 3e-9}
 
 	c := spice.NewCircuit()
 	vddN := c.Node("vdd")
 	c.AddVSource("VDD", vddN, spice.Ground, spice.DC(vdd))
 	inputs := make([]spice.Node, len(spec.Inputs))
-	var inWave wave.Waveform
 	for i, p := range spec.Inputs {
 		inputs[i] = c.Node("in_" + p)
 		if p == pin {
@@ -149,31 +169,53 @@ func measurePoint(tech cells.Tech, spec cells.Spec, pin string, inputRise bool, 
 			if !inputRise {
 				v0, v1 = vdd, 0
 			}
-			inWave = wave.SaturatedRamp(v0, v1, start, slew, horizon)
-			c.AddVSource("V"+p, inputs[i], spice.Ground, inWave)
+			b.in = wave.SaturatedRamp(v0, v1, start, slew, b.horizon)
+			c.AddVSource("V"+p, inputs[i], spice.Ground, b.in)
 			continue
 		}
 		c.AddVSource("V"+p, inputs[i], spice.Ground, spice.DC(spec.NonControllingLevelFor(p, vdd)))
 	}
-	out := c.Node("out")
-	spec.Build(c, tech, "X", inputs, out, vddN, spec.Drive)
-	c.AddCapacitor("CL", out, spice.Ground, load)
+	b.out = c.Node("out")
+	spec.Build(c, tech, "X", inputs, b.out, vddN, spec.Drive)
+	c.AddCapacitor("CL", b.out, spice.Ground, load)
+	b.ckt = c
+	return b
+}
 
-	eng := spice.NewEngine(c, spice.DefaultOptions())
-	res, err := eng.Run(0, horizon, dt)
+// measure reads the 50% delay and the output's 10–90% slew off an output
+// record.
+func (b bench) measure(outW wave.Waveform) (delay, outSlew float64, err error) {
+	delay, err = wave.Delay50(b.in, outW, b.vdd, 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	outW := res.Wave(out)
-	delay, err = wave.Delay50(inWave, outW, vdd, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	outSlew, err = wave.TransitionTime(outW, vdd, !inputRise, 0.1, 0.9, 0)
+	outSlew, err = wave.TransitionTime(outW, b.vdd, b.outRise, 0.1, 0.9, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	return delay, outSlew, nil
+}
+
+// run simulates the bench, recording only the output, and ends at the
+// first step where measure succeeds. The measurements return first
+// crossings, and Crossings decides each one from its own segment's two
+// samples, so a record prefix on which they succeed gives the full
+// horizon's values bit for bit. They are tried only once the newest
+// output sample is past the far slew threshold, which the 10–90%
+// measurement needs; an output that never gets there runs to the
+// horizon and fails as before.
+func (b bench) run(dt float64) (*spice.Result, error) {
+	eng := spice.NewEngine(b.ckt, spice.DefaultOptions())
+	done := func(r *spice.Result) bool {
+		outW := r.Wave(b.out)
+		v := outW.Last()
+		if b.outRise && !(v > 0.9*b.vdd) || !b.outRise && !(v < 0.1*b.vdd) {
+			return false
+		}
+		_, _, err := b.measure(outW)
+		return err == nil
+	}
+	return eng.RunUntil(0, b.horizon, dt, done, int(b.out)-1)
 }
 
 // FindArc returns the arc for the given input pin and direction.

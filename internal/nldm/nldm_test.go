@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mcsm/internal/cells"
+	"mcsm/internal/spice"
 	"mcsm/internal/units"
 	"mcsm/internal/wave"
 )
@@ -143,5 +144,130 @@ func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig(tech)
 	if len(cfg.Slews) < 3 || len(cfg.Loads) < 3 || cfg.Dt <= 0 {
 		t.Errorf("default config incomplete: %+v", cfg)
+	}
+}
+
+// TestBenchStopPrefix: on NAND2 benches (each pin and direction, at the
+// grid corners), the early-stopped record is a bit-identical prefix of the
+// full-horizon record, far shorter than it, and both measure the same
+// delay and slew bit for bit.
+func TestBenchStopPrefix(t *testing.T) {
+	tech := cells.Default130()
+	spec, err := cells.Get("NAND2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(tech)
+	bits := math.Float64bits
+	for _, pin := range spec.Inputs {
+		for _, inputRise := range []bool{true, false} {
+			for _, sl := range [][2]float64{{cfg.Slews[0], cfg.Loads[0]}, {cfg.Slews[len(cfg.Slews)-1], cfg.Loads[len(cfg.Loads)-1]}} {
+				b := newBench(tech, spec, pin, inputRise, sl[0], sl[1])
+				early, err := b.run(cfg.Dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := spice.NewEngine(b.ckt, spice.DefaultOptions()).Run(0, b.horizon, cfg.Dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				we, wf := early.Wave(b.out), full.Wave(b.out)
+				if 2*we.Len() > wf.Len() {
+					t.Errorf("%s rise=%v %v: early run kept %d of %d samples", pin, inputRise, sl, we.Len(), wf.Len())
+				}
+				for k := range we.T {
+					if bits(we.T[k]) != bits(wf.T[k]) || bits(we.V[k]) != bits(wf.V[k]) {
+						t.Fatalf("%s rise=%v %v step %d: (%v, %v), full (%v, %v)", pin, inputRise, sl, k, we.T[k], we.V[k], wf.T[k], wf.V[k])
+					}
+				}
+				de, se, err := b.measure(we)
+				if err != nil {
+					t.Fatal(err)
+				}
+				df, sf, err := b.measure(wf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bits(de) != bits(df) || bits(se) != bits(sf) {
+					t.Errorf("%s rise=%v %v: early (%v, %v), full (%v, %v)", pin, inputRise, sl, de, se, df, sf)
+				}
+			}
+		}
+	}
+}
+
+// TestNoCrossingRunsToHorizon: a point whose output cannot finish its
+// transition within the horizon runs every step and fails with the error
+// the full-horizon measurement gives — the 50% crossing missing under a
+// 1 pF load, the far slew threshold missing under 0.4 pF.
+func TestNoCrossingRunsToHorizon(t *testing.T) {
+	tech := cells.Default130()
+	spec, err := cells.Get("INV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		load float64
+		want string
+	}{
+		{1e-12, "nldm: INV/A rise=true slew=30ps load=1pF: wave: output never crosses 50% level after input event"},
+		{0.4e-12, "nldm: INV/A rise=true slew=30ps load=400fF: wave: no falling low-threshold crossing"},
+	} {
+		cfg := Config{Slews: []float64{30 * units.PS, 80 * units.PS}, Loads: []float64{tc.load, 2 * tc.load}, Dt: 2 * units.PS}
+		if _, err := Characterize(tech, spec, cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("load %g: err %v, want %q", tc.load, err, tc.want)
+		}
+		b := newBench(tech, spec, "A", true, cfg.Slews[0], tc.load)
+		res, err := b.run(cfg.Dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := spice.FixedSteps(0, b.horizon, cfg.Dt); res.Steps() != n+1 {
+			t.Errorf("load %g: run stopped after %d of %d steps", tc.load, res.Steps()-1, n)
+		}
+	}
+}
+
+// maxStepShare bounds the transient steps NAND2's DefaultConfig
+// characterization runs, as a share of its full-horizon steps. The runs
+// end at the step where the delay and slew measurements first succeed;
+// the share measured when the stop went in is in CHANGES.md.
+const maxStepShare = 0.20
+
+// TestCharacterizeStepShare is the host-independent gate on the early
+// stop: it counts the steps of every NAND2 table point at DefaultConfig
+// against the full horizon's.
+func TestCharacterizeStepShare(t *testing.T) {
+	tech := cells.Default130()
+	spec, err := cells.Get("NAND2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(tech)
+	var ran, horizon int
+	for _, pin := range spec.Inputs {
+		for _, inputRise := range []bool{true, false} {
+			for _, slew := range cfg.Slews {
+				for _, load := range cfg.Loads {
+					b := newBench(tech, spec, pin, inputRise, slew, load)
+					res, err := b.run(cfg.Dt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, err := spice.FixedSteps(0, b.horizon, cfg.Dt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ran += res.Steps() - 1
+					horizon += n
+				}
+			}
+		}
+	}
+	share := float64(ran) / float64(horizon)
+	t.Logf("NAND2 at DefaultConfig: %d of %d full-horizon steps (%.1f%%)", ran, horizon, 100*share)
+	if share > maxStepShare {
+		t.Errorf("NAND2 characterization ran %d of %d full-horizon steps (%.1f%%), ceiling %.0f%%",
+			ran, horizon, 100*share, 100*maxStepShare)
 	}
 }

@@ -3,7 +3,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // Options configures the solver.
@@ -289,9 +288,6 @@ func (e *Engine) newton(ctx *Context, gmin float64) error {
 			f0 = fLast
 			haveAssembly = true
 		}
-		if debugNewton && iter > e.opt.MaxIter-5 {
-			fmt.Printf("newton iter=%d scale=%.3g f0=%.3g best=%.3g x=%v\n", iter, bestScale, f0, bestF, ctx.X)
-		}
 	}
 	return fmt.Errorf("spice: newton did not converge at t=%g after %d iterations", ctx.Time, e.opt.MaxIter)
 }
@@ -373,11 +369,19 @@ func (e *Engine) DCFrom(seed []float64, t float64) ([]float64, error) {
 // unknown indices to record at every step; with none, every node voltage
 // and auxiliary unknown is recorded.
 func (e *Engine) Run(start, stop, dt float64, keep ...int) (*Result, error) {
+	return e.RunUntil(start, stop, dt, nil, keep...)
+}
+
+// RunUntil is Run with a stop check: after each recorded step, done sees
+// the record so far, and the run ends there when it returns true. Step k
+// depends only on the steps before it, so the record of a run that stops
+// is a bit-identical prefix of the full run's; a nil done never stops.
+func (e *Engine) RunUntil(start, stop, dt float64, done func(*Result) bool, keep ...int) (*Result, error) {
 	x0, err := e.DCAt(start)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunFrom(x0, start, stop, dt, keep...)
+	return e.runFrom(x0, start, stop, dt, done, keep)
 }
 
 // FixedSteps returns the step count of a fixed-step run over [start, stop]
@@ -402,6 +406,12 @@ func FixedSteps(start, stop, dt float64) (int, error) {
 // vector (typically a previous DC or transient solution). keep is as for
 // Run.
 func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, keep ...int) (*Result, error) {
+	return e.runFrom(x0, start, stop, dt, nil, keep)
+}
+
+// runFrom is the one fixed-step transient loop, behind RunFrom and
+// RunUntil; done is as for RunUntil.
+func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Result) bool, keep []int) (*Result, error) {
 	nSteps, err := FixedSteps(start, stop, dt)
 	if err != nil {
 		return nil, err
@@ -473,6 +483,9 @@ func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, keep ...int) (*R
 		}
 		copy(ctx.Xprev, ctx.X)
 		res.record(tEnd, ctx.X)
+		if done != nil && done(res) {
+			break
+		}
 	}
 	return res, nil
 }
@@ -495,7 +508,3 @@ func resetBranches(st Stepper) {
 		el.csb.Reset()
 	}
 }
-
-// debugNewton enables iteration tracing for development; controlled by the
-// MCSM_DEBUG_NEWTON environment variable.
-var debugNewton = os.Getenv("MCSM_DEBUG_NEWTON") != ""

@@ -95,3 +95,80 @@ func TestRunKeepRecord(t *testing.T) {
 	}()
 	rp.At(0, 0)
 }
+
+// sameRecordPrefix fails unless every time and every column of kept in
+// short equals the full record's at the same step, bit for bit.
+func sameRecordPrefix(t *testing.T, short, full *Result, kept []int) {
+	t.Helper()
+	if short.Steps() > full.Steps() {
+		t.Fatalf("record has %d steps, the full run %d", short.Steps(), full.Steps())
+	}
+	for k := range short.Times {
+		if math.Float64bits(short.Times[k]) != math.Float64bits(full.Times[k]) {
+			t.Fatalf("step %d: time %v, full run %v", k, short.Times[k], full.Times[k])
+		}
+		for _, i := range kept {
+			if math.Float64bits(short.At(k, i)) != math.Float64bits(full.At(k, i)) {
+				t.Fatalf("step %d unknown %d: %v, full run %v", k, i, short.At(k, i), full.At(k, i))
+			}
+		}
+	}
+}
+
+// TestRunUntilNeverFires: a stop check that never fires is Run — the same
+// times and samples bit for bit, the record length included — and it sees
+// the record once after every step, each time one sample longer.
+func TestRunUntilNeverFires(t *testing.T) {
+	full, _ := buildInverter(DefaultOptions())
+	rf, err := full.Run(0, 3e-9, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := buildInverter(DefaultOptions())
+	calls := 0
+	ru, err := e.RunUntil(0, 3e-9, 1e-12, func(r *Result) bool {
+		calls++
+		if r.Steps() != calls+1 {
+			t.Fatalf("check %d sees %d samples, want %d", calls, r.Steps(), calls+1)
+		}
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ru.Steps() != rf.Steps() || calls != rf.Steps()-1 {
+		t.Fatalf("RunUntil recorded %d steps over %d checks, Run %d steps", ru.Steps(), calls, rf.Steps())
+	}
+	all := make([]int, e.Unknowns())
+	for i := range all {
+		all[i] = i
+	}
+	sameRecordPrefix(t, ru, rf, all)
+}
+
+// TestRunUntilPrefix: a run that stops ends on the step whose check fired,
+// and its record — times and every kept column — is a bit-identical
+// prefix of the full-horizon run's.
+func TestRunUntilPrefix(t *testing.T) {
+	full, out := buildInverter(DefaultOptions())
+	oi := int(out) - 1
+	aux := full.Unknowns() - 1
+	rf, err := full.Run(0, 3e-9, 1e-12, oi, aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := buildInverter(DefaultOptions())
+	// Stop once the output has fallen below half the supply.
+	early, err := e.RunUntil(0, 3e-9, 1e-12, func(r *Result) bool { return r.Wave(out).Last() < 0.6 }, oi, aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := early.Steps()
+	if n >= rf.Steps()/2 {
+		t.Fatalf("early run kept %d of %d steps", n, rf.Steps())
+	}
+	if early.At(n-1, oi) >= 0.6 || early.At(n-2, oi) < 0.6 {
+		t.Fatalf("run did not end on the first step below 0.6 V: %v then %v", early.At(n-2, oi), early.At(n-1, oi))
+	}
+	sameRecordPrefix(t, early, rf, []int{oi, aux})
+}

@@ -19,34 +19,44 @@ type Crossing struct {
 func (w Waveform) Crossings(level float64) []Crossing {
 	var out []Crossing
 	for i := 1; i < len(w.T); i++ {
-		v0, v1 := w.V[i-1], w.V[i]
-		if v0 == v1 {
-			continue
+		if c, ok := w.segmentCross(i, level); ok {
+			out = append(out, c)
 		}
-		// A segment crosses when the level lies strictly between the
-		// endpoint values, or coincides with the leaving endpoint.
-		lo, hi := math.Min(v0, v1), math.Max(v0, v1)
-		if level <= lo || level > hi {
-			// Allow the exact-left-endpoint case: v0 == level and segment
-			// departs — count it as a crossing at the segment start.
-			if v0 == level && v1 != level {
-				out = append(out, Crossing{Time: w.T[i-1], Rising: v1 > v0})
-			}
-			continue
-		}
-		frac := (level - v0) / (v1 - v0)
-		t := w.T[i-1] + frac*(w.T[i]-w.T[i-1])
-		out = append(out, Crossing{Time: t, Rising: v1 > v0})
 	}
 	return out
+}
+
+// segmentCross decides from segment i's two samples alone whether it
+// crosses level, and where. Every crossing scan goes through it, so a
+// scan that returns at its first match returns the element Crossings
+// would, and a prefix of the samples yields a prefix of the crossings.
+func (w Waveform) segmentCross(i int, level float64) (Crossing, bool) {
+	v0, v1 := w.V[i-1], w.V[i]
+	if v0 == v1 {
+		return Crossing{}, false
+	}
+	// A segment crosses when the level lies strictly between the
+	// endpoint values, or coincides with the leaving endpoint.
+	lo, hi := math.Min(v0, v1), math.Max(v0, v1)
+	if level <= lo || level > hi {
+		// Allow the exact-left-endpoint case: v0 == level and segment
+		// departs — count it as a crossing at the segment start.
+		if v0 == level {
+			return Crossing{Time: w.T[i-1], Rising: v1 > v0}, true
+		}
+		return Crossing{}, false
+	}
+	frac := (level - v0) / (v1 - v0)
+	t := w.T[i-1] + frac*(w.T[i]-w.T[i-1])
+	return Crossing{Time: t, Rising: v1 > v0}, true
 }
 
 // CrossTime returns the first time at or after 'after' when the waveform
 // crosses level in the requested direction. The boolean result reports
 // whether such a crossing exists.
 func (w Waveform) CrossTime(level float64, rising bool, after float64) (float64, bool) {
-	for _, c := range w.Crossings(level) {
-		if c.Rising == rising && c.Time >= after {
+	for i := 1; i < len(w.T); i++ {
+		if c, ok := w.segmentCross(i, level); ok && c.Rising == rising && c.Time >= after {
 			return c.Time, true
 		}
 	}
@@ -101,8 +111,8 @@ func dirName(rising bool) string {
 }
 
 func firstCrossAnyDir(w Waveform, level, after float64) (float64, bool) {
-	for _, c := range w.Crossings(level) {
-		if c.Time >= after {
+	for i := 1; i < len(w.T); i++ {
+		if c, ok := w.segmentCross(i, level); ok && c.Time >= after {
 			return c.Time, true
 		}
 	}

@@ -2,6 +2,7 @@ package wave
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -169,5 +170,62 @@ func TestExtremumAndPeak(t *testing.T) {
 	p, at := w.PeakValue(0, 3)
 	if p != 3 || at != 1 {
 		t.Errorf("PeakValue = %g at %g", p, at)
+	}
+}
+
+// TestCrossTimeScanOracle: CrossTime and firstCrossAnyDir scan segment by
+// segment and return at their first match; the answer must be the first
+// matching element of the Crossings list, bit for bit. The waveforms
+// step on a coarse value lattice, so samples land exactly on the level
+// and flat segments (on the level and off it) are common.
+func TestCrossTimeScanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	bits := math.Float64bits
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		ts := make([]float64, n)
+		vs := make([]float64, n)
+		for i := range ts {
+			ts[i] = float64(i)*1e-11 + rng.Float64()*1e-12
+			vs[i] = float64(rng.Intn(5)) * 0.3
+		}
+		w := MustNew(ts, vs)
+		level := float64(rng.Intn(5)) * 0.3
+		if rng.Intn(3) == 0 {
+			level = rng.Float64() * 1.2
+		}
+		after := ts[0] + rng.Float64()*float64(n)*1e-11
+		if rng.Intn(4) == 0 {
+			after = ts[rng.Intn(n)] // on a sample, where ties decide
+		}
+		cs := w.Crossings(level)
+		for _, rising := range []bool{true, false} {
+			var want float64
+			found := false
+			for _, c := range cs {
+				if c.Rising == rising && c.Time >= after {
+					want, found = c.Time, true
+					break
+				}
+			}
+			got, ok := w.CrossTime(level, rising, after)
+			if ok != found || bits(got) != bits(want) {
+				t.Fatalf("trial %d: CrossTime(%g, %v, %g) on %v = (%v, %v), Crossings say (%v, %v)",
+					trial, level, rising, after, vs, got, ok, want, found)
+			}
+		}
+		var want float64
+		found := false
+		for _, c := range cs {
+			if c.Time >= after {
+				want, found = c.Time, true
+				break
+			}
+		}
+		got, ok := firstCrossAnyDir(w, level, after)
+		if ok != found || bits(got) != bits(want) {
+			t.Fatalf("trial %d: firstCrossAnyDir(%g, %g) on %v = (%v, %v), Crossings say (%v, %v)",
+				trial, level, after, vs, got, ok, want, found)
+		}
 	}
 }
