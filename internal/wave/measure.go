@@ -18,45 +18,47 @@ type Crossing struct {
 // crossing.
 func (w Waveform) Crossings(level float64) []Crossing {
 	var out []Crossing
-	for i := 1; i < len(w.T); i++ {
-		if c, ok := w.segmentCross(i, level); ok {
-			out = append(out, c)
-		}
+	for c, i, ok := w.nextCross(level, 1); ok; c, i, ok = w.nextCross(level, i) {
+		out = append(out, c)
 	}
 	return out
 }
 
-// segmentCross decides from segment i's two samples alone whether it
-// crosses level, and where. Every crossing scan goes through it, so a
-// scan that returns at its first match returns the element Crossings
-// would, and a prefix of the samples yields a prefix of the crossings.
-func (w Waveform) segmentCross(i int, level float64) (Crossing, bool) {
-	v0, v1 := w.V[i-1], w.V[i]
-	if v0 == v1 {
-		return Crossing{}, false
-	}
-	// A segment crosses when the level lies strictly between the
-	// endpoint values, or coincides with the leaving endpoint.
-	lo, hi := math.Min(v0, v1), math.Max(v0, v1)
-	if level <= lo || level > hi {
-		// Allow the exact-left-endpoint case: v0 == level and segment
-		// departs — count it as a crossing at the segment start.
-		if v0 == level {
-			return Crossing{Time: w.T[i-1], Rising: v1 > v0}, true
+// nextCross returns the first crossing of level on segment i or later
+// (segment i joins samples i-1 and i) and the segment after it. Each
+// segment decides from its own two samples alone, so a prefix of the
+// samples yields a prefix of the crossings, and a scan that stops at its
+// first match returns the element Crossings would.
+func (w Waveform) nextCross(level float64, i int) (Crossing, int, bool) {
+	for ; i < len(w.T); i++ {
+		v0, v1 := w.V[i-1], w.V[i]
+		if v0 == v1 {
+			continue
 		}
-		return Crossing{}, false
+		// A segment crosses when the level lies strictly between the
+		// endpoint values, or coincides with the leaving endpoint.
+		lo, hi := math.Min(v0, v1), math.Max(v0, v1)
+		if level <= lo || level > hi {
+			// Allow the exact-left-endpoint case: v0 == level and segment
+			// departs — count it as a crossing at the segment start.
+			if v0 == level {
+				return Crossing{Time: w.T[i-1], Rising: v1 > v0}, i + 1, true
+			}
+			continue
+		}
+		frac := (level - v0) / (v1 - v0)
+		t := w.T[i-1] + frac*(w.T[i]-w.T[i-1])
+		return Crossing{Time: t, Rising: v1 > v0}, i + 1, true
 	}
-	frac := (level - v0) / (v1 - v0)
-	t := w.T[i-1] + frac*(w.T[i]-w.T[i-1])
-	return Crossing{Time: t, Rising: v1 > v0}, true
+	return Crossing{}, i, false
 }
 
 // CrossTime returns the first time at or after 'after' when the waveform
 // crosses level in the requested direction. The boolean result reports
 // whether such a crossing exists.
 func (w Waveform) CrossTime(level float64, rising bool, after float64) (float64, bool) {
-	for i := 1; i < len(w.T); i++ {
-		if c, ok := w.segmentCross(i, level); ok && c.Rising == rising && c.Time >= after {
+	for c, i, ok := w.nextCross(level, 1); ok; c, i, ok = w.nextCross(level, i) {
+		if c.Rising == rising && c.Time >= after {
 			return c.Time, true
 		}
 	}
@@ -111,8 +113,8 @@ func dirName(rising bool) string {
 }
 
 func firstCrossAnyDir(w Waveform, level, after float64) (float64, bool) {
-	for i := 1; i < len(w.T); i++ {
-		if c, ok := w.segmentCross(i, level); ok && c.Time >= after {
+	for c, i, ok := w.nextCross(level, 1); ok; c, i, ok = w.nextCross(level, i) {
+		if c.Time >= after {
 			return c.Time, true
 		}
 	}
