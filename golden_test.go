@@ -805,13 +805,19 @@ func TestGoldenModelDigests(t *testing.T) {
 		sum := sha256.Sum256(b)
 		digests[gm.name] = hex.EncodeToString(sum[:])
 	}
-	path := filepath.Join(goldenDir, "model_digests.json")
+	goldenDigests(t, filepath.Join(goldenDir, "model_digests.json"), digests)
+}
+
+// goldenDigests pins a name → digest map as the JSON fixture at path,
+// first naming each entry that drifted from the fixture.
+func goldenDigests(t *testing.T, path string, digests map[string]string) {
+	t.Helper()
 	if !*testutil.UpdateGolden {
 		var want map[string]string
 		if raw, err := os.ReadFile(path); err == nil && json.Unmarshal(raw, &want) == nil {
-			for _, gm := range goldenModels {
-				if digests[gm.name] != want[gm.name] {
-					t.Errorf("%s: model bytes drifted (sha256 %s, fixture %s)", gm.name, digests[gm.name], want[gm.name])
+			for _, name := range slices.Sorted(maps.Keys(digests)) {
+				if digests[name] != want[name] {
+					t.Errorf("%s: bytes drifted (sha256 %s, fixture %s)", name, digests[name], want[name])
 				}
 			}
 		}
@@ -874,20 +880,5 @@ func TestGoldenNLDMDigests(t *testing.T) {
 	for _, cell := range goldenNLDMCells {
 		digests[cell] = nldmDigest(libs[cell])
 	}
-	path := filepath.Join(goldenDir, "nldm_digests.json")
-	if !*testutil.UpdateGolden {
-		var want map[string]string
-		if raw, err := os.ReadFile(path); err == nil && json.Unmarshal(raw, &want) == nil {
-			for _, cell := range goldenNLDMCells {
-				if digests[cell] != want[cell] {
-					t.Errorf("%s: NLDM table bytes drifted (sha256 %s, fixture %s)", cell, digests[cell], want[cell])
-				}
-			}
-		}
-	}
-	body, err := json.MarshalIndent(digests, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.Golden(t, path, append(body, '\n'))
+	goldenDigests(t, filepath.Join(goldenDir, "nldm_digests.json"), digests)
 }

@@ -41,7 +41,7 @@ func (w Waveform) nextCross(level float64, i int) (Crossing, int, bool) {
 		if level <= lo || level > hi {
 			// Allow the exact-left-endpoint case: v0 == level and segment
 			// departs — count it as a crossing at the segment start.
-			if v0 == level {
+			if v0 == level && v1 != level {
 				return Crossing{Time: w.T[i-1], Rising: v1 > v0}, i + 1, true
 			}
 			continue
