@@ -290,7 +290,7 @@ func BenchmarkLUSolve16(b *testing.B) {
 			sys.AddB(r, float64(r))
 		}
 		b.StartTimer()
-		if _, err := sys.Solve(); err != nil {
+		if _, err := sys.SolveWith(spice.NewSolveWorkspace(n)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,13 +64,20 @@ func synthModel(rng *rand.Rand, splitIN, splitCN, miller bool) *Model {
 	return m
 }
 
+// tableGrad is one ValueGrad lookup of t through a fresh cursor.
+func tableGrad(t *table.Table, coords []float64) (float64, []float64) {
+	var cur table.Cursor
+	t.Seek(&cur, coords)
+	grad := make([]float64, len(coords))
+	return t.ValueGrad(&cur, grad), grad
+}
+
 // oracleStampDC is the DC part of Cell.Stamp (the current sources; every
-// capacitive branch is open in DC) rebuilt from one Grad lookup per
-// table.
+// capacitive branch is open in DC) rebuilt from one lookup per table.
 func oracleStampDC(sys *spice.System, c *Cell, coords []float64) {
 	m := c.model
 	outIdx := int(c.out) - 1
-	io, gradIo := m.Io.Grad(coords...)
+	io, gradIo := tableGrad(m.Io, coords)
 	lin := 0.0
 	for k, g := range gradIo {
 		sys.AddA(outIdx, c.unknownOf(k), -g)
@@ -78,7 +85,7 @@ func oracleStampDC(sys *spice.System, c *Cell, coords []float64) {
 	}
 	sys.AddB(outIdx, lin-(-io))
 	row := c.vnAux
-	iN, gradIN := m.IN.Grad(coords...)
+	iN, gradIN := tableGrad(m.IN, coords)
 	linN := 0.0
 	for k, g := range gradIN {
 		sys.AddA(row, c.unknownOf(k), -g)
@@ -89,7 +96,7 @@ func oracleStampDC(sys *spice.System, c *Cell, coords []float64) {
 }
 
 // TestCellLookupsMatchPerTable: the grouped cursors of Cell.BeginStep and
-// Cell.Stamp reproduce one At/Grad lookup per table bit for bit — on a
+// Cell.Stamp reproduce one lookup per table through a fresh cursor bit for bit — on a
 // characterized model (one grid per group), on a model whose IN and CN
 // sit on grids of their own (the grouping fallback), and on a
 // NoInternalMiller model.

@@ -92,6 +92,8 @@ type Model struct {
 	// simplification; nil when characterized with Config.NoInternalMiller):
 	CmN  []*table.Table // coupling input↔internal node, one per modeled input
 	CmNO *table.Table   // coupling output↔internal node
+
+	dc *dcMemo // stage DC operating points (dcmemo.go), guarded by stageDC.mu
 }
 
 // HasInternalMiller reports whether the model carries the internal-node

@@ -91,13 +91,18 @@ type StageResult struct {
 // stepping — the CSM cell is an ordinary circuit element, so the engine's
 // adaptive integrator applies unchanged. For digital waveforms this cuts
 // the step count by an order of magnitude at matched accuracy (EXP-T1).
+// Its initial state is SimulateStage's.
 func SimulateStageAdaptive(m *Model, inputs []wave.Waveform, load Load, start, stop float64, opt spice.AdaptiveOptions) (*StageResult, error) {
 	c, cell, out, err := buildStage(m, inputs, load)
 	if err != nil {
 		return nil, err
 	}
 	eng := spice.NewEngine(c, spice.DefaultOptions())
-	res, err := eng.RunAdaptive(start, stop, opt)
+	x0, err := stageX0(eng, m, inputs, load, start)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eng.RunAdaptiveFrom(x0, start, stop, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +142,10 @@ func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *C
 // SimulateStage computes the output waveform of a characterized cell driven
 // by ideal input waveforms into the given load, using the implicit solver
 // (the CSM cell as a circuit element). The initial condition comes from a
-// DC solve at `start`, so input waveforms should begin in a settled state.
-// The run records the output and, for KindMCSM, the internal node.
+// DC solve at `start`, so input waveforms should begin in a settled state;
+// with a capacitive load it is read from the model's memo of earlier
+// solves (dcmemo.go), bit for bit the same operating point. The run
+// records the output and, for KindMCSM, the internal node.
 func SimulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (*StageResult, error) {
 	return simulateStage(m, inputs, load, start, stop, dt, m.Kind == KindMCSM)
 }
@@ -165,7 +172,11 @@ func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt 
 	if withVN {
 		keep = append(keep, cell.VNIndex())
 	}
-	res, err := eng.Run(start, stop, dt, keep...)
+	x0, err := stageX0(eng, m, inputs, load, start)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eng.RunFrom(x0, start, stop, dt, keep...)
 	if err != nil {
 		return nil, err
 	}

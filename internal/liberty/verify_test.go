@@ -16,7 +16,11 @@ func verifyLib() *nldm.Library {
 			table.Axis{Name: "input_net_transition", Points: []float64{10e-12, 80e-12}},
 			table.Axis{Name: "total_output_net_capacitance", Points: []float64{1e-15, 8e-15}},
 		)
-		t.Fill(func(c []float64) float64 { return scale * (c[0] + 100*c[1]) })
+		for i, slew := range t.Axes[0].Points {
+			for j, load := range t.Axes[1].Points {
+				t.Set(scale*(slew+100*load), i, j)
+			}
+		}
 		return t
 	}
 	return &nldm.Library{

@@ -418,8 +418,8 @@ func scaleStage(nl *sta.Netlist, idx int, waves map[string]wave.Waveform, out wa
 	if k == 1 || vdd <= 0 {
 		return out
 	}
-	oc := out.Crossings(vdd / 2)
-	if len(oc) == 0 {
+	oc, ok := out.FirstCross(vdd / 2)
+	if !ok {
 		return out
 	}
 	tIn := math.Inf(-1)
@@ -428,14 +428,14 @@ func scaleStage(nl *sta.Netlist, idx int, waves map[string]wave.Waveform, out wa
 		if !ok {
 			continue
 		}
-		if c := w.Crossings(vdd / 2); len(c) > 0 && c[0].Time > tIn {
-			tIn = c[0].Time
+		if c, ok := w.FirstCross(vdd / 2); ok && c.Time > tIn {
+			tIn = c.Time
 		}
 	}
 	if math.IsInf(tIn, -1) {
 		return out
 	}
-	d := oc[0].Time - tIn
+	d := oc.Time - tIn
 	if d <= 0 {
 		return out
 	}

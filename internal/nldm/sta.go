@@ -186,14 +186,15 @@ func (ev *Evaluator) EvalStageEdges(nl *sta.Netlist, idx int, waves map[string]w
 			return wave.Waveform{}, 0, nil, fmt.Errorf("nldm: stage %s: no waveform for net %q", inst.Name, net)
 		}
 		initial[i] = w.First() > vdd/2
-		cs := w.Crossings(vdd / 2)
-		if len(cs) == 0 {
+		first, ok := w.FirstCross(vdd / 2)
+		if !ok {
 			levels[i] = w.Last() > vdd/2
 			continue
 		}
 		switching++
-		levels[i] = cs[len(cs)-1].Rising // settled post-transition level
-		arr, rising := cs[0].Time, cs[0].Rising
+		last, _ := w.LastCross(vdd / 2)
+		levels[i] = last.Rising // settled post-transition level
+		arr, rising := first.Time, first.Rising
 		arc, err := lib.FindArc(inst.Type, spec.Inputs[i], rising)
 		if err != nil {
 			return wave.Waveform{}, 0, nil, fmt.Errorf("nldm: stage %s: %w", inst.Name, err)

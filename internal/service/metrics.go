@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcsm/internal/csm"
 	"mcsm/internal/engine"
 	"mcsm/internal/obs"
 )
@@ -239,6 +240,11 @@ type Metrics struct {
 	StageEvalsPerSec  float64 `json:"stage_evals_per_sec"`
 	SweepPointEvals   int64   `json:"sweep_point_evals"`
 	SweepPointsPerSec float64 `json:"sweep_points_per_sec"`
+
+	// StageDC counts CSM stage DC operating points read from a model's
+	// memo, solved and stored, or solved because the stage's load is
+	// not purely capacitive; the counts cover the whole process.
+	StageDC csm.StageDCStats `json:"stage_dc"`
 }
 
 // Snapshot assembles the current metrics.
@@ -294,6 +300,7 @@ func (s *Server) Snapshot() Metrics {
 			StageEvals: s.metrics.mcStageEvals.Load(),
 		},
 		StageEvals:      s.eng.StageEvals(),
+		StageDC:         csm.ReadStageDCStats(),
 		SweepPointEvals: s.metrics.sweepPoints.Load(),
 		Latency: LatencyMetrics{
 			Endpoints:              make(map[string]obs.HistSnapshot, len(endpointNames)),

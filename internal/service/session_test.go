@@ -145,6 +145,11 @@ func TestSessionEcoRoundTrip(t *testing.T) {
 	if m.Sessions.EcoStageEvals == 0 || m.Sessions.EcoNetsChanged == 0 {
 		t.Errorf("eco economy counters empty: %+v", m.Sessions)
 	}
+	// The reference graph re-solved the session's stages over the same
+	// cached models, so their DC operating points came from the memo.
+	if m.StageDC.Hits == 0 {
+		t.Errorf("stage DC counts %+v: want memo hits", m.StageDC)
+	}
 }
 
 // TestSessionErrors covers the request-fault paths.

@@ -201,7 +201,7 @@ func TestSwitchingEnergy(t *testing.T) {
 	vddN := c.Node("vdd")
 	in := c.Node("in")
 	out := c.Node("out")
-	c.AddVSource("VDD", vddN, Ground, DC(vdd))
+	vsup := c.AddVSource("VDD", vddN, Ground, DC(vdd))
 	// Input falls → output rises → supply delivers the switching energy.
 	c.AddVSource("VIN", in, Ground, wave.SaturatedRamp(vdd, 0, 0.5e-9, 80e-12, 4e-9))
 	c.AddMOS("MN", out, in, Ground, Ground, &np, 0.2e-6)
@@ -212,17 +212,28 @@ func TestSwitchingEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	energy, err := res.SupplyEnergy("VDD", 0.4e-9, 3.5e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	energy := supplyEnergy(res, vsup, 0.4e-9, 3.5e-9)
 	ideal := cl * vdd * vdd
 	if energy < ideal || energy > 2.5*ideal {
 		t.Errorf("switching energy %.3g J outside [%.3g, %.3g] (CL·Vdd² bookkeeping broken)",
 			energy, ideal, 2.5*ideal)
 	}
 	t.Logf("switching energy %.3g J vs CL·Vdd² = %.3g J", energy, ideal)
-	if _, err := res.SupplyEnergy("NOPE", 0, 1); err == nil {
-		t.Error("unknown source accepted")
+}
+
+// supplyEnergy integrates the energy a voltage source delivers over
+// [t0, t1]: E = ∫ V·(−I) dt, with I the branch current into the source
+// (so a delivering supply has negative I and positive energy).
+func supplyEnergy(r *Result, v *VSource, t0, t1 float64) float64 {
+	iw := r.AuxWave(v.AuxIndex())
+	var e float64
+	for k := 1; k < len(iw.T); k++ {
+		tm := 0.5 * (iw.T[k] + iw.T[k-1])
+		if tm < t0 || tm > t1 {
+			continue
+		}
+		im := 0.5 * (iw.V[k] + iw.V[k-1])
+		e += -v.Value(tm) * im * (iw.T[k] - iw.T[k-1])
 	}
+	return e
 }

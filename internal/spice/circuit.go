@@ -18,8 +18,6 @@
 package spice
 
 import (
-	"fmt"
-
 	"mcsm/internal/device"
 	"mcsm/internal/wave"
 )
@@ -75,14 +73,6 @@ func (c *Circuit) Node(name string) Node {
 	return Node(i)
 }
 
-// NodeName returns the name of a node.
-func (c *Circuit) NodeName(n Node) string {
-	if int(n) < len(c.names) {
-		return c.names[n]
-	}
-	return fmt.Sprintf("node#%d", int(n))
-}
-
 // NumNodes returns the node count including ground.
 func (c *Circuit) NumNodes() int { return len(c.names) }
 
@@ -104,18 +94,12 @@ func (c *Circuit) AddCapacitor(name string, a, b Node, farads float64) {
 }
 
 // AddVSource connects a voltage source between p (positive) and n with the
-// given stimulus. The source current is recorded and retrievable from
-// transient results via Result.Current(name).
+// given stimulus. Its branch current is an auxiliary unknown, read from
+// transient results with Result.AuxWave(v.AuxIndex()).
 func (c *Circuit) AddVSource(name string, p, n Node, stim Stimulus) *VSource {
 	v := &VSource{name: name, p: p, n: n, stim: stim}
 	c.Add(v)
 	return v
-}
-
-// AddISource connects a current source pushing the stimulus current from
-// node a to node b (i.e. injecting into b).
-func (c *Circuit) AddISource(name string, a, b Node, stim Stimulus) {
-	c.Add(&ISource{name: name, a: a, b: b, stim: stim})
 }
 
 // AddMOS instantiates a MOSFET with terminals drain, gate, source, bulk,

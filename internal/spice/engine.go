@@ -423,7 +423,14 @@ func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Resul
 	if err := checkKeep(keep, n); err != nil {
 		return nil, err
 	}
-	res := newResult(e.ckt, n, nSteps+1, keep)
+	// A run with a stop check usually ends well before its horizon (an
+	// NLDM table point fills about a seventh of it), so it reserves as an
+	// adaptive run does and lets the record double.
+	reserve := nSteps + 1
+	if done != nil {
+		reserve = min(reserve, unknownSteps)
+	}
+	res := newResult(e.ckt, n, reserve, keep)
 
 	x := make([]float64, n)
 	xprev := make([]float64, n)

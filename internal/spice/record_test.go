@@ -148,7 +148,8 @@ func TestRunUntilNeverFires(t *testing.T) {
 
 // TestRunUntilPrefix: a run that stops ends on the step whose check fired,
 // and its record — times and every kept column — is a bit-identical
-// prefix of the full-horizon run's.
+// prefix of the full-horizon run's. It reserved its record as it grew,
+// not for the whole horizon.
 func TestRunUntilPrefix(t *testing.T) {
 	full, out := buildInverter(DefaultOptions())
 	oi := int(out) - 1
@@ -171,4 +172,7 @@ func TestRunUntilPrefix(t *testing.T) {
 		t.Fatalf("run did not end on the first step below 0.6 V: %v then %v", early.At(n-2, oi), early.At(n-1, oi))
 	}
 	sameRecordPrefix(t, early, rf, []int{oi, aux})
+	if c := cap(early.Times); c >= rf.Steps() || c >= 2*max(n, unknownSteps) {
+		t.Errorf("run stopped after %d of %d points reserved %d slots", n, rf.Steps(), c)
+	}
 }

@@ -25,8 +25,8 @@ type Result struct {
 // repository stays far below it (a 4 ns window at 1 ps is 4,000 steps).
 const MaxSteps = 1 << 20
 
-// unknownSteps is the room an adaptive record reserves before it starts
-// doubling.
+// unknownSteps is the room an adaptive record, or a fixed-step one with a
+// stop check, reserves before it starts doubling.
 const unknownSteps = 64
 
 // newResult returns a record of the keep unknowns (all n when keep is
@@ -132,48 +132,3 @@ func (r *Result) lookupNode(name string) (int, bool) {
 // the positive terminal through the source (i.e. delivered into the source
 // by the circuit). Like Wave, it shares the record's samples.
 func (r *Result) AuxWave(idx int) wave.Waveform { return r.waveOf(r.col(idx)) }
-
-// Current returns the branch-current waveform of the named voltage source.
-func (r *Result) Current(vsrcName string) (wave.Waveform, error) {
-	for _, el := range r.ckt.Elements() {
-		if v, ok := el.(*VSource); ok && v.Name() == vsrcName {
-			return r.AuxWave(v.AuxIndex()), nil
-		}
-	}
-	return wave.Waveform{}, fmt.Errorf("spice: no voltage source named %q", vsrcName)
-}
-
-// Final returns a copy of the last recorded unknown vector, usable as the
-// initial state of a follow-on RunFrom.
-func (r *Result) Final() []float64 {
-	k := len(r.Times) - 1
-	cp := make([]float64, len(r.cols))
-	for i := range cp {
-		cp[i] = r.col(i)[k]
-	}
-	return cp
-}
-
-// SupplyEnergy integrates the energy delivered by the named voltage source
-// over [t0, t1]: E = ∫ V·(−I) dt, with I the branch current into the
-// source (so a delivering supply has negative I and positive energy).
-func (r *Result) SupplyEnergy(vsrcName string, t0, t1 float64) (float64, error) {
-	for _, el := range r.ckt.Elements() {
-		v, ok := el.(*VSource)
-		if !ok || v.Name() != vsrcName {
-			continue
-		}
-		iw := r.AuxWave(v.AuxIndex())
-		var e float64
-		for k := 1; k < len(iw.T); k++ {
-			tm := 0.5 * (iw.T[k] + iw.T[k-1])
-			if tm < t0 || tm > t1 {
-				continue
-			}
-			im := 0.5 * (iw.V[k] + iw.V[k-1])
-			e += -v.Value(tm) * im * (iw.T[k] - iw.T[k-1])
-		}
-		return e, nil
-	}
-	return 0, fmt.Errorf("spice: no voltage source named %q", vsrcName)
-}

@@ -90,17 +90,6 @@ func (ws *SolveWorkspace) ensure(n int) {
 	ws.fact = lu{n: n, l: make([]float64, n*n), perm: make([]int, n), scale: make([]float64, n)}
 }
 
-// Solve returns x solving A·x = b, leaving the system contents intact.
-// It is the convenience form of SolveWith for one-shot callers: a fresh
-// workspace is allocated and the solution copied out.
-func (s *System) Solve() ([]float64, error) {
-	x, err := s.SolveWith(NewSolveWorkspace(s.N))
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), x...), nil
-}
-
 // SolveWith solves A·x = b using the workspace's buffers. The system
 // contents are preserved (the factorization decomposes a workspace copy),
 // which lets the Newton loop keep the assembled system for residual

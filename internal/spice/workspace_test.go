@@ -28,11 +28,11 @@ func buildTestSystem(n int) *System {
 }
 
 // TestSolveWithMatchesSolve pins the reuse contract: SolveWith through a
-// shared workspace returns bit-identical results to the allocating Solve,
-// and leaves the system's A/B intact (Solve historically destroyed them).
+// shared workspace returns bit-identical results to a solve through a
+// fresh one, and leaves the system's A/B intact.
 func TestSolveWithMatchesSolve(t *testing.T) {
 	const n = 7
-	ref, err := buildTestSystem(n).Solve()
+	ref, err := solveFresh(buildTestSystem(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestErrSingularSentinel(t *testing.T) {
 		s.AddA(2, j, 2*float64(j+1))
 	}
 	s.AddB(0, 1)
-	_, err := s.Solve()
+	_, err := solveFresh(s)
 	if err == nil {
 		t.Fatal("singular system solved")
 	}
@@ -127,7 +127,7 @@ func TestSolveNonFiniteIsSingular(t *testing.T) {
 	s.AddA(0, 0, 1)
 	s.AddA(1, 1, 1)
 	s.AddB(0, math.NaN())
-	_, err := s.Solve()
+	_, err := solveFresh(s)
 	if err == nil {
 		t.Fatal("NaN solution accepted")
 	}

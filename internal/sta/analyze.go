@@ -321,23 +321,23 @@ func simulateSIS(model *csm.Model, inputs []wave.Waveform, spec cells.Spec, vdd 
 
 // firstArrival returns the first 50% crossing, or −Inf when absent.
 func firstArrival(w wave.Waveform, vdd float64) float64 {
-	cs := w.Crossings(vdd / 2)
-	if len(cs) == 0 {
+	c, ok := w.FirstCross(vdd / 2)
+	if !ok {
 		return math.Inf(-1)
 	}
-	return cs[0].Time
+	return c.Time
 }
 
 // measureNet extracts arrival/slew/direction from a net waveform.
 func measureNet(w wave.Waveform, vdd float64) NetResult {
 	nr := NetResult{Wave: w, Arrival: math.NaN()}
-	cs := w.Crossings(vdd / 2)
-	if len(cs) == 0 {
+	c, ok := w.FirstCross(vdd / 2)
+	if !ok {
 		return nr
 	}
-	nr.Arrival = cs[0].Time
-	nr.Rising = cs[0].Rising
-	if s, err := wave.TransitionTime(w, vdd, cs[0].Rising, 0.1, 0.9, 0); err == nil {
+	nr.Arrival = c.Time
+	nr.Rising = c.Rising
+	if s, err := wave.TransitionTime(w, vdd, c.Rising, 0.1, 0.9, 0); err == nil {
 		nr.Slew = s
 	}
 	return nr

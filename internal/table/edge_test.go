@@ -15,7 +15,7 @@ func TestCornerClamping(t *testing.T) {
 		Uniform("y", -1, 1, 4),
 		Uniform("z", 2, 5, 2),
 	)
-	tb.Fill(func(c []float64) float64 { return 1 + 2*c[0] - 3*c[1] + 0.5*c[2] })
+	fill(tb, func(c []float64) float64 { return 1 + 2*c[0] - 3*c[1] + 0.5*c[2] })
 
 	cases := []struct {
 		name   string
@@ -32,7 +32,7 @@ func TestCornerClamping(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: At(%v) = %g, want corner sample %g", tc.name, tc.query, got, want)
 		}
-		v, grad := tb.Grad(tc.query...)
+		v, grad := gradAt(tb, tc.query...)
 		if v != want {
 			t.Errorf("%s: Grad value %g, want %g", tc.name, v, want)
 		}
@@ -50,7 +50,7 @@ func TestCornerClamping(t *testing.T) {
 // beyond [-Δv, Vdd+Δv] reads the boundary sample.
 func TestOffGridExtrapolationClamp(t *testing.T) {
 	tb := MustNew(Uniform("v", 0, 1, 5))
-	tb.Fill(func(c []float64) float64 { return c[0] * c[0] })
+	fill(tb, func(c []float64) float64 { return c[0] * c[0] })
 
 	edgeLo, edgeHi := tb.At(0), tb.At(1)
 	for _, x := range []float64{-1e-9, -1, -1e12, math.Inf(-1)} {
@@ -81,7 +81,7 @@ func TestDegenerateSinglePointAxes(t *testing.T) {
 			t.Errorf("point table At(%v) = %g, want 7.25", q, got)
 		}
 	}
-	v, grad := point.Grad(123, -456)
+	v, grad := gradAt(point, 123, -456)
 	if v != 7.25 || grad[0] != 0 || grad[1] != 0 {
 		t.Errorf("point table Grad = %g, %v; want 7.25 with zero gradient", v, grad)
 	}
@@ -89,14 +89,14 @@ func TestDegenerateSinglePointAxes(t *testing.T) {
 	// Mixed: one degenerate axis alongside a real one. The interpolant must
 	// remain exact along the live axis and flat along the dead one.
 	mixed := MustNew(Axis{Name: "dead", Points: []float64{3}}, Uniform("live", 0, 1, 3))
-	mixed.Fill(func(c []float64) float64 { return 10 * c[1] })
+	fill(mixed, func(c []float64) float64 { return 10 * c[1] })
 	if got := mixed.At(3, 0.25); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("mixed At(3, 0.25) = %g, want 2.5", got)
 	}
 	if got := mixed.At(-99, 0.25); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("dead axis leaked into the value: %g", got)
 	}
-	_, grad = mixed.Grad(3, 0.25)
+	_, grad = gradAt(mixed, 3, 0.25)
 	if grad[0] != 0 {
 		t.Errorf("gradient along degenerate axis = %g, want 0", grad[0])
 	}

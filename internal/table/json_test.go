@@ -8,7 +8,7 @@ import (
 
 func TestJSONRoundtrip(t *testing.T) {
 	tb := MustNew(Uniform("va", -0.12, 1.32, 5), Uniform("vo", -0.12, 1.32, 7))
-	tb.Fill(func(c []float64) float64 { return c[0]*1e-4 - c[1]*3e-5 })
+	fill(tb, func(c []float64) float64 { return c[0]*1e-4 - c[1]*3e-5 })
 	data, err := json.Marshal(tb)
 	if err != nil {
 		t.Fatal(err)

@@ -152,8 +152,9 @@ func probe(rng *rand.Rand, pts []float64) float64 {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestKernelMatchesReference: At, Grad, Value and ValueGrad equal the
-// reference loop bit for bit at every rank, on seeded random grids and
+// TestKernelMatchesReference: At, Value and ValueGrad (through a fresh
+// cursor and a reused one) equal the reference loop bit for bit at every
+// rank, on seeded random grids and
 // coordinates covering interiors, exact breakpoints, span ends, clamped
 // out-of-span values and single-point axes. A second table on the same
 // grid reads through the first table's cursor, and one cursor is reused
@@ -185,14 +186,14 @@ func TestKernelMatchesReference(t *testing.T) {
 					if got := tb.Value(&cur); !sameBits(got, wantV) {
 						t.Fatalf("rank %d Value(%v) = %v, reference %v", rank, coords, got, wantV)
 					}
-					gv, g := tb.Grad(coords...)
+					gv, g := gradAt(tb, coords...)
 					vg := tb.ValueGrad(&cur, grad)
 					if !sameBits(gv, wantGV) || !sameBits(vg, wantGV) {
-						t.Fatalf("rank %d gradient value at %v: Grad %v, ValueGrad %v, reference %v", rank, coords, gv, vg, wantGV)
+						t.Fatalf("rank %d gradient value at %v: fresh cursor %v, reused %v, reference %v", rank, coords, gv, vg, wantGV)
 					}
 					for i := range wantG {
 						if !sameBits(g[i], wantG[i]) || !sameBits(grad[i], wantG[i]) {
-							t.Fatalf("rank %d grad[%d] at %v: Grad %v, ValueGrad %v, reference %v",
+							t.Fatalf("rank %d grad[%d] at %v: fresh cursor %v, reused %v, reference %v",
 								rank, i, coords, g[i], grad[i], wantG[i])
 						}
 					}
@@ -208,7 +209,7 @@ func TestKernelMatchesReference(t *testing.T) {
 // again.
 func TestSeekNaN(t *testing.T) {
 	tb := MustNew(Uniform("x", 0, 1, 5), Uniform("y", 0, 1, 3), Axis{Name: "z", Points: []float64{2}})
-	tb.Fill(func(c []float64) float64 { return c[0] + 2*c[1] })
+	fill(tb, func(c []float64) float64 { return c[0] + 2*c[1] })
 	nan := math.NaN()
 	var cur Cursor
 	grad := make([]float64, 3)

@@ -14,7 +14,7 @@
 //
 // Every lookup goes through one kernel: Seek locates a coordinate vector
 // into a Cursor, and Value/ValueGrad evaluate any table on the same grid
-// from it. At and Grad wrap the pair for one-off lookups.
+// from it. At wraps the pair for a one-off lookup.
 package table
 
 import (
@@ -128,23 +128,6 @@ func (t *Table) Set(v float64, idx ...int) {
 // Get returns the stored sample at the given per-axis indices.
 func (t *Table) Get(idx ...int) float64 {
 	return t.Data[t.flatIndex(idx)]
-}
-
-// Fill populates every sample by evaluating fn at the grid coordinates.
-// coords is reused between calls; fn must not retain it.
-func (t *Table) Fill(fn func(coords []float64) float64) {
-	rank := t.Rank()
-	idx := make([]int, rank)
-	coords := make([]float64, rank)
-	for flat := range t.Data {
-		rem := flat
-		for i := 0; i < rank; i++ {
-			idx[i] = rem / t.strides[i]
-			rem %= t.strides[i]
-			coords[i] = t.Axes[i].Points[idx[i]]
-		}
-		t.Data[flat] = fn(coords)
-	}
 }
 
 // Cursor is a located interpolation cell: the flat offsets of the 2^rank
@@ -359,16 +342,6 @@ func (t *Table) At(coords ...float64) float64 {
 	return t.Value(&cur)
 }
 
-// Grad evaluates the table and its gradient (see ValueGrad) at the given
-// point. It allocates the gradient; hot loops use Seek and ValueGrad with
-// a reused cursor and buffer instead.
-func (t *Table) Grad(coords ...float64) (float64, []float64) {
-	var cur Cursor
-	t.Seek(&cur, coords)
-	grad := make([]float64, len(coords))
-	return t.ValueGrad(&cur, grad), grad
-}
-
 // SameGrid reports whether a and b have bit-identical axis breakpoints,
 // so that a Cursor seeked on one evaluates the other.
 func SameGrid(a, b *Table) bool {
@@ -389,14 +362,8 @@ func SameGrid(a, b *Table) bool {
 	return true
 }
 
-// At1 is a convenience accessor for rank-1 tables.
-func (t *Table) At1(x float64) float64 { return t.At(x) }
-
 // At2 is a convenience accessor for rank-2 tables.
 func (t *Table) At2(x, y float64) float64 { return t.At(x, y) }
-
-// At4 is a convenience accessor for rank-4 tables (the MCSM storage rank).
-func (t *Table) At4(a, b, n, o float64) float64 { return t.At(a, b, n, o) }
 
 // Map returns a new table over the same axes with fn applied to every
 // sample.

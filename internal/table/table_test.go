@@ -6,6 +6,31 @@ import (
 	"testing/quick"
 )
 
+// fill sets every sample of t to fn at its grid coordinates. coords is
+// reused between calls; fn must not retain it.
+func fill(t *Table, fn func(coords []float64) float64) {
+	idx := make([]int, t.Rank())
+	coords := make([]float64, t.Rank())
+	for flat := range t.Data {
+		rem := flat
+		for i := range idx {
+			idx[i] = rem / t.strides[i]
+			rem %= t.strides[i]
+			coords[i] = t.Axes[i].Points[idx[i]]
+		}
+		t.Data[flat] = fn(coords)
+	}
+}
+
+// gradAt is one ValueGrad lookup through a fresh cursor, with a fresh
+// gradient.
+func gradAt(t *Table, coords ...float64) (float64, []float64) {
+	var cur Cursor
+	t.Seek(&cur, coords)
+	g := make([]float64, len(coords))
+	return t.ValueGrad(&cur, g), g
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(); err == nil {
 		t.Error("rank 0 accepted")
@@ -72,7 +97,7 @@ func TestSetGetRoundtrip(t *testing.T) {
 func TestFillAndExactAtGridPoints(t *testing.T) {
 	tb := MustNew(Uniform("x", -1, 1, 5), Uniform("y", 0, 2, 4))
 	fn := func(c []float64) float64 { return 3*c[0] - 2*c[1] + 0.5 }
-	tb.Fill(fn)
+	fill(tb, fn)
 	for _, x := range tb.Axes[0].Points {
 		for _, y := range tb.Axes[1].Points {
 			want := fn([]float64{x, y})
@@ -90,7 +115,7 @@ func TestInterpExactForMultilinear(t *testing.T) {
 	fn := func(c []float64) float64 {
 		return 1 + 2*c[0] - c[1] + 3*c[2] + 4*c[0]*c[1] - 2*c[1]*c[2] + c[0]*c[1]*c[2]
 	}
-	tb.Fill(fn)
+	fill(tb, fn)
 	pts := [][3]float64{
 		{0.1, 0.2, 0.3}, {0.77, 0.13, 0.99}, {0.5, 0.5, 0.5}, {0, 1, 0.25},
 	}
@@ -112,7 +137,7 @@ func TestClamping(t *testing.T) {
 	if got := tb.At(10); got != 7 {
 		t.Errorf("clamp high = %g", got)
 	}
-	v, g := tb.Grad(-10)
+	v, g := gradAt(tb, -10)
 	if v != 5 || g[0] != 0 {
 		t.Errorf("clamped grad = %g, %v (gradient must vanish off-grid)", v, g)
 	}
@@ -120,10 +145,10 @@ func TestClamping(t *testing.T) {
 
 func TestGradMatchesFiniteDifference(t *testing.T) {
 	tb := MustNew(Uniform("a", -1, 1, 7), Uniform("b", -1, 1, 6))
-	tb.Fill(func(c []float64) float64 { return math.Sin(c[0]) + c[0]*c[1]*c[1] })
+	fill(tb, func(c []float64) float64 { return math.Sin(c[0]) + c[0]*c[1]*c[1] })
 	pts := [][2]float64{{0.111, -0.37}, {-0.72, 0.68}, {0.3, 0.3}}
 	for _, p := range pts {
-		_, g := tb.Grad(p[0], p[1])
+		_, g := gradAt(tb, p[0], p[1])
 		const h = 1e-7
 		for dim := 0; dim < 2; dim++ {
 			lo, hi := p, p
@@ -139,11 +164,11 @@ func TestGradMatchesFiniteDifference(t *testing.T) {
 
 func TestSinglePointAxis(t *testing.T) {
 	tb := MustNew(Axis{Name: "x", Points: []float64{2}}, Uniform("y", 0, 1, 3))
-	tb.Fill(func(c []float64) float64 { return c[1] * 10 })
+	fill(tb, func(c []float64) float64 { return c[1] * 10 })
 	if got := tb.At(99, 0.5); math.Abs(got-5) > 1e-12 {
 		t.Errorf("single-point axis At = %g", got)
 	}
-	_, g := tb.Grad(2, 0.5)
+	_, g := gradAt(tb, 2, 0.5)
 	if g[0] != 0 {
 		t.Errorf("grad along single-point axis = %g", g[0])
 	}
@@ -151,7 +176,7 @@ func TestSinglePointAxis(t *testing.T) {
 
 func TestMapAndCombine(t *testing.T) {
 	a := MustNew(Uniform("x", 0, 1, 3))
-	a.Fill(func(c []float64) float64 { return c[0] })
+	fill(a, func(c []float64) float64 { return c[0] })
 	b := a.Map(func(v float64) float64 { return 2 * v })
 	if got := b.At(1); got != 2 {
 		t.Errorf("Map result = %g", got)
@@ -182,19 +207,19 @@ func TestMinMax(t *testing.T) {
 
 func TestAtConvenience(t *testing.T) {
 	t1 := MustNew(Uniform("x", 0, 1, 2))
-	t1.Fill(func(c []float64) float64 { return c[0] })
-	if t1.At1(0.5) != 0.5 {
-		t.Error("At1")
+	fill(t1, func(c []float64) float64 { return c[0] })
+	if t1.At(0.5) != 0.5 {
+		t.Error("At rank 1")
 	}
 	t2 := MustNew(Uniform("x", 0, 1, 2), Uniform("y", 0, 1, 2))
-	t2.Fill(func(c []float64) float64 { return c[0] + c[1] })
+	fill(t2, func(c []float64) float64 { return c[0] + c[1] })
 	if t2.At2(0.5, 0.5) != 1 {
 		t.Error("At2")
 	}
 	t4 := MustNew(Uniform("a", 0, 1, 2), Uniform("b", 0, 1, 2), Uniform("n", 0, 1, 2), Uniform("o", 0, 1, 2))
-	t4.Fill(func(c []float64) float64 { return c[0] + c[1] + c[2] + c[3] })
-	if t4.At4(0.5, 0.5, 0.5, 0.5) != 2 {
-		t.Error("At4")
+	fill(t4, func(c []float64) float64 { return c[0] + c[1] + c[2] + c[3] })
+	if t4.At(0.5, 0.5, 0.5, 0.5) != 2 {
+		t.Error("At rank 4")
 	}
 }
 
@@ -204,7 +229,7 @@ func TestQuickInterpConvexity(t *testing.T) {
 	tb := MustNew(
 		Uniform("a", 0, 1, 3), Uniform("b", 0, 1, 3),
 		Uniform("n", 0, 1, 3), Uniform("o", 0, 1, 3))
-	tb.Fill(func(c []float64) float64 {
+	fill(tb, func(c []float64) float64 {
 		return math.Sin(7*c[0]) * math.Cos(5*c[1]) * (c[2] - 0.5) * (c[3] + 0.2)
 	})
 	lo, hi := tb.MinMax()
@@ -215,7 +240,7 @@ func TestQuickInterpConvexity(t *testing.T) {
 			}
 			return math.Abs(math.Mod(x, 1.4)) // intentionally allows out-of-span values
 		}
-		v := tb.At4(clamp01(a), clamp01(b), clamp01(n), clamp01(o))
+		v := tb.At(clamp01(a), clamp01(b), clamp01(n), clamp01(o))
 		return v >= lo-1e-12 && v <= hi+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -226,14 +251,14 @@ func TestQuickInterpConvexity(t *testing.T) {
 // Property: Grad is the exact derivative of At inside a cell.
 func TestQuickGradConsistency(t *testing.T) {
 	tb := MustNew(Uniform("x", 0, 2, 5), Uniform("y", 0, 2, 5))
-	tb.Fill(func(c []float64) float64 { return c[0]*c[0] + 3*c[1] })
+	fill(tb, func(c []float64) float64 { return c[0]*c[0] + 3*c[1] })
 	f := func(px, py float64) bool {
 		x := 0.1 + math.Abs(math.Mod(px, 1.8))
 		y := 0.1 + math.Abs(math.Mod(py, 1.8))
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return true
 		}
-		v0, g := tb.Grad(x, y)
+		v0, g := gradAt(tb, x, y)
 		const h = 1e-8
 		vx := tb.At(x+h, y)
 		vy := tb.At(x, y+h)

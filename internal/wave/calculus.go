@@ -22,24 +22,6 @@ func (w Waveform) Derivative() Waveform {
 	return Waveform{T: ts, V: vs}
 }
 
-// Integral returns the running trapezoidal integral ∫v dt of the waveform,
-// sampled on the original grid (starting at zero).
-func (w Waveform) Integral() Waveform {
-	n := w.Len()
-	if n == 0 {
-		return Waveform{}
-	}
-	ts := make([]float64, n)
-	vs := make([]float64, n)
-	copy(ts, w.T)
-	var acc float64
-	for k := 1; k < n; k++ {
-		acc += 0.5 * (w.V[k] + w.V[k-1]) * (w.T[k] - w.T[k-1])
-		vs[k] = acc
-	}
-	return Waveform{T: ts, V: vs}
-}
-
 // Energy returns ∫v² dt over the waveform's span — useful as a crude
 // signal-activity metric.
 func (w Waveform) Energy() float64 {

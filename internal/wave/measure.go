@@ -30,7 +30,14 @@ func (w Waveform) Crossings(level float64) []Crossing {
 // samples yields a prefix of the crossings, and a scan that stops at its
 // first match returns the element Crossings would.
 func (w Waveform) nextCross(level float64, i int) (Crossing, int, bool) {
-	for ; i < len(w.T); i++ {
+	return w.scanCross(level, i, 1)
+}
+
+// scanCross walks the segments from i in steps of step (1 forward, −1
+// backward) and returns the first crossing of level it meets and the
+// segment after it in the walk. A segment holds at most one crossing.
+func (w Waveform) scanCross(level float64, i, step int) (Crossing, int, bool) {
+	for ; i >= 1 && i < len(w.T); i += step {
 		v0, v1 := w.V[i-1], w.V[i]
 		if v0 == v1 {
 			continue
@@ -42,15 +49,29 @@ func (w Waveform) nextCross(level float64, i int) (Crossing, int, bool) {
 			// Allow the exact-left-endpoint case: v0 == level and segment
 			// departs — count it as a crossing at the segment start.
 			if v0 == level && v1 != level {
-				return Crossing{Time: w.T[i-1], Rising: v1 > v0}, i + 1, true
+				return Crossing{Time: w.T[i-1], Rising: v1 > v0}, i + step, true
 			}
 			continue
 		}
 		frac := (level - v0) / (v1 - v0)
 		t := w.T[i-1] + frac*(w.T[i]-w.T[i-1])
-		return Crossing{Time: t, Rising: v1 > v0}, i + 1, true
+		return Crossing{Time: t, Rising: v1 > v0}, i + step, true
 	}
 	return Crossing{}, i, false
+}
+
+// FirstCross returns the first crossing of level: the element Crossings
+// would start with, found without building the list.
+func (w Waveform) FirstCross(level float64) (Crossing, bool) {
+	c, _, ok := w.nextCross(level, 1)
+	return c, ok
+}
+
+// LastCross returns the last crossing of level: the element Crossings
+// would end with, found by walking back from the last segment.
+func (w Waveform) LastCross(level float64) (Crossing, bool) {
+	c, _, ok := w.scanCross(level, len(w.T)-1, -1)
+	return c, ok
 }
 
 // CrossTime returns the first time at or after 'after' when the waveform
@@ -60,18 +81,6 @@ func (w Waveform) CrossTime(level float64, rising bool, after float64) (float64,
 	for c, i, ok := w.nextCross(level, 1); ok; c, i, ok = w.nextCross(level, i) {
 		if c.Rising == rising && c.Time >= after {
 			return c.Time, true
-		}
-	}
-	return 0, false
-}
-
-// LastCrossTime returns the last crossing of level in the requested
-// direction, or false when none exists.
-func (w Waveform) LastCrossTime(level float64, rising bool) (float64, bool) {
-	cs := w.Crossings(level)
-	for i := len(cs) - 1; i >= 0; i-- {
-		if cs[i].Rising == rising {
-			return cs[i].Time, true
 		}
 	}
 	return 0, false

@@ -56,12 +56,17 @@ func TestCrossTimeDirections(t *testing.T) {
 	if _, ok := w.CrossTime(1, true, 10); ok {
 		t.Error("found crossing after end")
 	}
-	tl, ok := w.LastCrossTime(1, false)
-	if !ok || math.Abs(tl-3.5) > 1e-12 {
-		t.Errorf("last falling = %g ok=%v", tl, ok)
+	if c, ok := w.FirstCross(1); !ok || !c.Rising || math.Abs(c.Time-0.5) > 1e-12 {
+		t.Errorf("first crossing = %+v ok=%v", c, ok)
 	}
-	if _, ok := w.LastCrossTime(5, false); ok {
-		t.Error("LastCrossTime found nonexistent crossing")
+	if c, ok := w.LastCross(1); !ok || c.Rising || math.Abs(c.Time-3.5) > 1e-12 {
+		t.Errorf("last crossing = %+v ok=%v", c, ok)
+	}
+	if _, ok := w.FirstCross(5); ok {
+		t.Error("FirstCross found nonexistent crossing")
+	}
+	if _, ok := w.LastCross(5); ok {
+		t.Error("LastCross found nonexistent crossing")
 	}
 }
 
@@ -226,6 +231,43 @@ func TestCrossTimeScanOracle(t *testing.T) {
 		if ok != found || bits(got) != bits(want) {
 			t.Fatalf("trial %d: firstCrossAnyDir(%g, %g) on %v = (%v, %v), Crossings say (%v, %v)",
 				trial, level, after, vs, got, ok, want, found)
+		}
+	}
+}
+
+// TestFirstLastCrossOracle: FirstCross and LastCross scan segment by
+// segment and return at their first match; each answer must be the
+// first or last element of the Crossings list, bit for bit. The
+// waveforms step on a coarse value lattice, so samples land exactly on
+// the level and flat segments (on the level and off it) are common.
+func TestFirstLastCrossOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	bits := math.Float64bits
+	same := func(got Crossing, ok bool, want []Crossing, k int) bool {
+		if len(want) == 0 {
+			return !ok
+		}
+		return ok && got.Rising == want[k].Rising && bits(got.Time) == bits(want[k].Time)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		ts := make([]float64, n)
+		vs := make([]float64, n)
+		for i := range ts {
+			ts[i] = float64(i)*1e-11 + rng.Float64()*1e-12
+			vs[i] = float64(rng.Intn(5)) * 0.3
+		}
+		w := MustNew(ts, vs)
+		level := float64(rng.Intn(5)) * 0.3
+		if rng.Intn(3) == 0 {
+			level = rng.Float64() * 1.2
+		}
+		cs := w.Crossings(level)
+		if c, ok := w.FirstCross(level); !same(c, ok, cs, 0) {
+			t.Fatalf("trial %d: FirstCross(%g) on %v = (%+v, %v), Crossings say %+v", trial, level, vs, c, ok, cs)
+		}
+		if c, ok := w.LastCross(level); !same(c, ok, cs, len(cs)-1) {
+			t.Fatalf("trial %d: LastCross(%g) on %v = (%+v, %v), Crossings say %+v", trial, level, vs, c, ok, cs)
 		}
 	}
 }

@@ -43,24 +43,6 @@ func Sub(a, b Waveform) Waveform {
 	return Merge(a, b, func(x, y float64) float64 { return x - y })
 }
 
-// Concat joins two waveforms in time. The second waveform must start after
-// the first ends; a bridging segment holds the first waveform's final value
-// until the second begins.
-func Concat(a, b Waveform) (Waveform, error) {
-	if a.Empty() {
-		return b, nil
-	}
-	if b.Empty() {
-		return a, nil
-	}
-	if b.Start() <= a.End() {
-		return Waveform{}, fmt.Errorf("wave: concat overlap: second starts at %g before first ends at %g", b.Start(), a.End())
-	}
-	t := append(append([]float64{}, a.T...), b.T...)
-	v := append(append([]float64{}, a.V...), b.V...)
-	return Waveform{T: t, V: v}, nil
-}
-
 // WriteCSV writes "time,value" rows (with a header) for one or more
 // waveforms sharing a merged time grid. Column names label the value
 // columns. It is used by the cmd tools to export waveforms for plotting.

@@ -31,32 +31,6 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := MustNew([]float64{0, 1}, []float64{0, 1})
-	b := MustNew([]float64{2, 3}, []float64{5, 6})
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 4 || c.At(1.5) == 0 {
-		t.Errorf("concat: %v", c)
-	}
-	// Bridging: value holds a's last value until b starts.
-	if got := c.At(1.5); math.Abs(got-3) > 1e-12 {
-		// Linear bridge from (1,1) to (2,5) -> 3 at 1.5.
-		t.Errorf("bridge value = %g", got)
-	}
-	if _, err := Concat(a, a); err == nil {
-		t.Error("overlapping concat accepted")
-	}
-	if got, err := Concat(Waveform{}, b); err != nil || got.Len() != 2 {
-		t.Error("concat with empty first failed")
-	}
-	if got, err := Concat(a, Waveform{}); err != nil || got.Len() != 2 {
-		t.Error("concat with empty second failed")
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	a := MustNew([]float64{0, 1}, []float64{0, 1})
 	b := MustNew([]float64{0, 0.5, 1}, []float64{1, 1, 1})

@@ -8,7 +8,14 @@ import (
 
 func TestSimplifiedRamp(t *testing.T) {
 	// A densely sampled perfect ramp collapses to its corner points.
-	w := SaturatedRamp(0, 1.2, 1e-9, 100e-12, 4e-9).Resampled(0, 4e-9, 1e-12)
+	ramp := SaturatedRamp(0, 1.2, 1e-9, 100e-12, 4e-9)
+	ts := make([]float64, 4001)
+	vs := make([]float64, len(ts))
+	for i := range ts {
+		ts[i] = float64(i) * 1e-12
+		vs[i] = ramp.At(ts[i])
+	}
+	w := MustNew(ts, vs)
 	s := w.Simplified(1e-6)
 	if s.Len() > 8 {
 		t.Errorf("ramp simplified to %d points, want ≤ 8", s.Len())

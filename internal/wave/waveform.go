@@ -84,35 +84,6 @@ func SaturatedRamp(v0, v1, start, tt, end float64) Waveform {
 	return Waveform{T: ts, V: vs}
 }
 
-// Pulse returns a waveform that rests at base, ramps to peak starting at
-// start over rise seconds, holds peak for width seconds, and ramps back to
-// base over fall seconds, holding until end.
-func Pulse(base, peak, start, rise, width, fall, end float64) Waveform {
-	if rise <= 0 {
-		rise = 1e-15
-	}
-	if fall <= 0 {
-		fall = 1e-15
-	}
-	if width < 0 {
-		width = 0
-	}
-	ts := []float64{start - 1e-15, start, start + rise}
-	vs := []float64{base, base, peak}
-	tFallStart := start + rise + width
-	if width > 0 {
-		ts = append(ts, tFallStart)
-		vs = append(vs, peak)
-	}
-	ts = append(ts, tFallStart+fall)
-	vs = append(vs, base)
-	if end > tFallStart+fall {
-		ts = append(ts, end)
-		vs = append(vs, base)
-	}
-	return Waveform{T: ts, V: vs}
-}
-
 // Len reports the number of samples.
 func (w Waveform) Len() int { return len(w.T) }
 
@@ -220,60 +191,6 @@ func (w Waveform) Scaled(k float64) Waveform {
 		out.V[i] *= k
 	}
 	return out
-}
-
-// Offset returns the waveform with dv added to all values.
-func (w Waveform) Offset(dv float64) Waveform {
-	out := w.Clone()
-	for i := range out.V {
-		out.V[i] += dv
-	}
-	return out
-}
-
-// Resampled returns the waveform sampled uniformly every dt over [t0, t1]
-// inclusive of both endpoints.
-func (w Waveform) Resampled(t0, t1, dt float64) Waveform {
-	if dt <= 0 || t1 <= t0 {
-		return Constant(w.At(t0), t0, t0+1e-18)
-	}
-	n := int(math.Ceil((t1-t0)/dt)) + 1
-	ts := make([]float64, 0, n)
-	vs := make([]float64, 0, n)
-	for i := 0; ; i++ {
-		t := t0 + float64(i)*dt
-		if t > t1+dt*1e-9 {
-			break
-		}
-		if t > t1 {
-			t = t1
-		}
-		ts = append(ts, t)
-		vs = append(vs, w.At(t))
-		if t == t1 {
-			break
-		}
-	}
-	return Waveform{T: ts, V: vs}
-}
-
-// Window returns the portion of the waveform within [t0, t1], with exact
-// interpolated samples inserted at the window edges.
-func (w Waveform) Window(t0, t1 float64) Waveform {
-	if w.Empty() || t1 <= t0 {
-		return Waveform{}
-	}
-	ts := []float64{t0}
-	vs := []float64{w.At(t0)}
-	for i := range w.T {
-		if w.T[i] > t0 && w.T[i] < t1 {
-			ts = append(ts, w.T[i])
-			vs = append(vs, w.V[i])
-		}
-	}
-	ts = append(ts, t1)
-	vs = append(vs, w.At(t1))
-	return Waveform{T: ts, V: vs}
 }
 
 // String renders a short human-readable summary of the waveform.
