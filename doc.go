@@ -7,7 +7,7 @@
 // substrate it needs: a transistor-level circuit simulator standing in for
 // HSPICE, a 130 nm-class cell library, the SIS and internal-node-blind
 // baseline models, an NLDM voltage-based baseline, a crosstalk bench, a
-// waveform-propagating timing engine, a level-parallel evaluation layer
+// waveform-propagating timing engine, a parallel evaluation layer
 // (internal/engine) with a shared characterization cache, a batched MIS
 // skew/slew/load sweep engine (internal/sweep) producing the paper's
 // delay-vs-skew surfaces with flat-SPICE error statistics, a benchmark

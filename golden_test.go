@@ -509,10 +509,17 @@ func TestGoldenServeEco(t *testing.T) {
 			t.Fatalf("workers=%d: session status %d: %s", workers, status, body)
 		}
 		status, reply := goldenPost(t, ts.URL+"/v1/eco", ecoBody)
+		streamed := srv.Snapshot().Sessions.StagesStreamed
 		ts.Close()
 		srv.Close()
 		if status != http.StatusOK {
 			t.Fatalf("workers=%d: eco status %d: %s", workers, status, reply)
+		}
+		// Stages start on live inputs only on more than one worker; the
+		// count is the schedule's and stays out of the reply bytes.
+		t.Logf("workers=%d: %d stages started on a live input", workers, streamed)
+		if workers == 1 && streamed != 0 {
+			t.Errorf("workers=1: %d stages streamed", streamed)
 		}
 		if workers == 1 {
 			testutil.Golden(t, filepath.Join(goldenDir, "c17_eco_reply.json"), reply)
@@ -573,10 +580,17 @@ func TestGoldenServeEcoHybrid(t *testing.T) {
 			t.Fatalf("workers=%d: session status %d: %s", workers, status, body)
 		}
 		status, reply := goldenPost(t, ts.URL+"/v1/eco", ecoBody)
+		streamed := srv.Snapshot().Sessions.StagesStreamed
 		ts.Close()
 		srv.Close()
 		if status != http.StatusOK {
 			t.Fatalf("workers=%d: eco status %d: %s", workers, status, reply)
+		}
+		// Stages start on live inputs only on more than one worker; the
+		// count is the schedule's and stays out of the reply bytes.
+		t.Logf("workers=%d: %d stages started on a live input", workers, streamed)
+		if workers == 1 && streamed != 0 {
+			t.Errorf("workers=1: %d stages streamed", streamed)
 		}
 		if workers == 1 {
 			testutil.Golden(t, filepath.Join(goldenDir, "c432_hybrid_eco_reply.json"), reply)

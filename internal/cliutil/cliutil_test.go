@@ -306,8 +306,8 @@ func TestBuildGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.DirtyCount() != 0 {
-		t.Fatalf("%d stages dirty after BuildGraphCtx", g.DirtyCount())
+	if st, err := g.Propagate(context.Background()); err != nil || st.StagesEvaluated+st.StagesSkipped != 0 {
+		t.Fatalf("stages left dirty after BuildGraphCtx: %+v, %v", st, err)
 	}
 	if g.StageEvals() != int64(len(wl.NL.Instances)) {
 		t.Errorf("stage evals = %d, want %d", g.StageEvals(), len(wl.NL.Instances))

@@ -119,7 +119,7 @@ func TestStageDCMemoOracle(t *testing.T) {
 						requireSameWave(t, fmt.Sprintf("%s, call %d: VN", what, call), sr.VN, wantVN)
 					}
 					if !adaptive {
-						out, err := SimulateStageOut(m, inputs, load, start, memoStop, memoDt)
+						out, err := SimulateStageOut(m, inputs, load, start, memoStop, memoDt, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -151,7 +151,7 @@ func TestStageDCMemoHit(t *testing.T) {
 	}
 	memoStage(t, m, inputs, CapLoad(2e-15), 0, false)
 	memoStage(t, m, inputs, MultiLoad{CapLoad(1e-15)}, 0, true)
-	if _, err := SimulateStageOut(m, inputs, nil, 0, memoStop, memoDt); err != nil {
+	if _, err := SimulateStageOut(m, inputs, nil, 0, memoStop, memoDt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls(); n != 1 {
@@ -256,7 +256,7 @@ func TestStageDCMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := 0; s < solves; s++ {
 				i := (w*5 + s*3) % len(cases)
-				out, err := SimulateStageOut(m, cases[i], load, 0, memoStop, memoDt)
+				out, err := SimulateStageOut(m, cases[i], load, 0, memoStop, memoDt, nil)
 				if err != nil {
 					errs <- err
 					return

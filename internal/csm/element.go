@@ -307,7 +307,6 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 		sys.AddA(row, row, auxGmin)
 
 		if ctx.Mode == spice.ModeTransient && ctx.Dt > 0 {
-			vn := ctx.Aux(c.vnAux)
 			vnPrev := ctx.AuxPrev(c.vnAux)
 			var geq, hist float64
 			if ctx.Method == spice.Trapezoidal {
@@ -319,7 +318,6 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 			}
 			sys.AddA(row, row, geq)
 			sys.AddB(row, hist)
-			_ = vn
 		}
 	}
 

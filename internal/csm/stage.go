@@ -147,13 +147,18 @@ func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *C
 // solves (dcmemo.go), bit for bit the same operating point. The run
 // records the output and, for KindMCSM, the internal node.
 func SimulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (*StageResult, error) {
-	return simulateStage(m, inputs, load, start, stop, dt, m.Kind == KindMCSM)
+	return simulateStage(m, inputs, load, start, stop, dt, m.Kind == KindMCSM, nil)
 }
 
 // SimulateStageOut is SimulateStage for callers that need only the output
 // waveform, such as static timing: the run records the output node alone.
-func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (wave.Waveform, error) {
-	sr, err := simulateStage(m, inputs, load, start, stop, dt, false)
+// With a non-nil out it publishes the output into out as it records it
+// (every spice.PublishEvery steps); the caller closes out. Inputs may be
+// live views of other stages' streams: the solve reads each input only
+// at its own step times (through the sources' cursors) and at the start
+// time (the DC memo key), and both wait for the samples they need.
+func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, out *wave.Stream) (wave.Waveform, error) {
+	sr, err := simulateStage(m, inputs, load, start, stop, dt, false, out)
 	if err != nil {
 		return wave.Waveform{}, err
 	}
@@ -161,8 +166,9 @@ func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, start, stop, 
 }
 
 // simulateStage runs the fixed-step stage simulation, recording the
-// output and, when withVN is set, the internal node.
-func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, withVN bool) (*StageResult, error) {
+// output and, when withVN is set, the internal node, and publishing the
+// output into a non-nil stream.
+func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, withVN bool, stream *wave.Stream) (*StageResult, error) {
 	c, cell, out, err := buildStage(m, inputs, load)
 	if err != nil {
 		return nil, err
@@ -176,7 +182,11 @@ func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt 
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.RunFrom(x0, start, stop, dt, keep...)
+	var publish func(*spice.Result)
+	if stream != nil {
+		publish = func(r *spice.Result) { stream.Publish(r.Wave(out)) }
+	}
+	res, err := eng.RunFrom(x0, start, stop, dt, publish, keep...)
 	if err != nil {
 		return nil, err
 	}

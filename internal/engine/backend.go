@@ -89,6 +89,11 @@ type BackendPlan struct {
 	// len(Assign)).
 	CSMStages  int
 	NLDMStages int
+
+	// live declares the stages Eval solves with the CSM stage solve
+	// (graph.Config.WithLiveStages): every stage of the csm kind, the
+	// refined stages of the hybrid kind, none of the nldm kind.
+	live func(idx int) bool
 }
 
 // Attribution maps instance name → backend kind for reporting.
@@ -100,14 +105,17 @@ func (p *BackendPlan) Attribution(nl *sta.Netlist) map[string]BackendKind {
 	return out
 }
 
-// GraphConfig is the graph build configuration realizing this plan.
+// GraphConfig is the graph build configuration realizing this plan. It
+// declares the plan's CSM stages live, so a hook that wraps p.Eval (and
+// passes its waves argument through) keeps their streaming.
 func (p *BackendPlan) GraphConfig(workers int, modelFor func(string) (*csm.Model, error)) graph.Config {
-	return graph.Config{
-		Workers:  workers,
-		ModelFor: modelFor,
-		Eval:     p.Eval,
-		Vdd:      p.Vdd,
-	}
+	return p.graphConfig(graph.Config{Workers: workers, ModelFor: modelFor})
+}
+
+// graphConfig sets cfg's evaluator, rail and live stages to the plan's.
+func (p *BackendPlan) graphConfig(cfg graph.Config) graph.Config {
+	cfg.Eval, cfg.Vdd = p.Eval, p.Vdd
+	return cfg.WithLiveStages(p.live)
 }
 
 // BackendResult couples a plan with the report its propagation produced.
@@ -143,7 +151,8 @@ func (e *Engine) plan(ctx context.Context, spec BackendSpec, nl *sta.Netlist, pr
 			return nil, nil, err
 		}
 		return &BackendPlan{Kind: BackendCSM, Models: models,
-			Assign: assignAll(nl, BackendCSM), CSMStages: len(nl.Instances)}, nil, nil
+			Assign: assignAll(nl, BackendCSM), CSMStages: len(nl.Instances),
+			live: func(int) bool { return true }}, nil, nil
 
 	case BackendNLDM:
 		ev, err := e.evaluatorFor(ctx, spec, nl)
@@ -247,10 +256,11 @@ func (e *Engine) planHybrid(ctx context.Context, spec BackendSpec, nl *sta.Netli
 			return ev.EvalStage(nlx, idx, waves, opt)
 		},
 		Assign: assign, CSMStages: csmCount, NLDMStages: len(assign) - csmCount,
+		live: func(idx int) bool { return assign[idx] == BackendCSM },
 	}
 	// Refine in place: the near-critical stages flip to CSM on the graph
 	// the table pass left (SetBackend also holds the models to its rail).
-	if err := g.SetBackend(plan.Eval, models, flip); err != nil {
+	if err := g.SetBackend(plan.Eval, plan.live, models, flip); err != nil {
 		return nil, nil, fmt.Errorf("engine: hybrid: %w", err)
 	}
 	return plan, g, nil
@@ -313,8 +323,7 @@ func (e *Engine) realize(ctx context.Context, plan *BackendPlan, g *graph.Timing
 	buildSpan := span.Start("build")
 	var err error
 	if g == nil {
-		cfg.Eval, cfg.Vdd = plan.Eval, plan.Vdd
-		g, err = graph.Build(nl, plan.Models, primary, opt, cfg)
+		g, err = graph.Build(nl, plan.Models, primary, opt, plan.graphConfig(cfg))
 	}
 	buildSpan.End()
 	if err != nil {
@@ -335,11 +344,12 @@ func (e *Engine) realize(ctx context.Context, plan *BackendPlan, g *graph.Timing
 // identical graph as AnalyzeCtx, so its reports are byte-for-byte the
 // historical ones at any worker count.
 func (e *Engine) AnalyzeBackend(ctx context.Context, spec BackendSpec, nl *sta.Netlist, primary map[string]wave.Waveform, opt sta.Options) (*BackendResult, error) {
-	plan, g, _, err := e.BackendGraph(ctx, spec, nl, primary, opt, e.oneShot())
+	plan, g, stats, err := e.BackendGraph(ctx, spec, nl, primary, opt, e.oneShot())
 	if err != nil {
 		return nil, err
 	}
 	e.stageEvals.Add(g.StageEvals())
+	e.streamed.Add(int64(stats.StagesStreamed))
 	return &BackendResult{Plan: plan, Report: g.Report(), Graph: g}, nil
 }
 

@@ -25,6 +25,7 @@ type Engine struct {
 	cache      *ModelCache
 	nldm       *nldmCache
 	stageEvals atomic.Int64
+	streamed   atomic.Int64  // stages started on a live input, one-shot analyses
 	stageHist  obs.Histogram // per-stage-evaluation latency, all analyses
 }
 
@@ -51,9 +52,16 @@ func (e *Engine) Cache() *ModelCache { return e.cache }
 // has run — the hot-path operation count for throughput metrics.
 func (e *Engine) StageEvals() int64 { return e.stageEvals.Load() }
 
+// StagesStreamed reports how many stages of the engine's one-shot
+// analyses started while one of their inputs was still being solved
+// (graph.Stats.StagesStreamed). It depends on the schedule.
+func (e *Engine) StagesStreamed() int64 { return e.streamed.Load() }
+
 // StageHist returns the engine's stage-evaluation latency histogram.
 // Every analysis routed through the engine (one-shot, backend, and MC
-// trials) observes each stage evaluation's duration here.
+// trials) observes each stage evaluation's duration here, from its start
+// to its return: a stage that started on a live input also counts the
+// time it waited for its producer's samples.
 func (e *Engine) StageHist() *obs.Histogram { return &e.stageHist }
 
 // KindFor selects the model kind the engine characterizes a cell as: the
@@ -170,11 +178,12 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, nl *sta.Netlist, models map[str
 // Callers that keep the graph must treat it as immutable: Report() is a
 // pure read, but edits belong to ECO sessions, which build their own.
 func (e *Engine) AnalyzeGraphCtx(ctx context.Context, nl *sta.Netlist, models map[string]*csm.Model, primary map[string]wave.Waveform, opt sta.Options) (*graph.TimingGraph, error) {
-	g, _, err := e.realize(ctx, &BackendPlan{Models: models}, nil, nl, primary, opt, e.oneShot())
+	g, stats, err := e.realize(ctx, &BackendPlan{Models: models}, nil, nl, primary, opt, e.oneShot())
 	if err != nil {
 		return nil, err
 	}
 	e.stageEvals.Add(g.StageEvals())
+	e.streamed.Add(int64(stats.StagesStreamed))
 	return g, nil
 }
 

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"mcsm/internal/graph"
 	"mcsm/internal/obs"
 	"mcsm/internal/testutil"
 )
@@ -41,6 +43,83 @@ func TestTracedAnalyzeBackendBitIdentical(t *testing.T) {
 			if !seen[want] {
 				t.Errorf("%s: trace missing %q child span (got %v)", kind, want, tree.Children)
 			}
+		}
+	}
+}
+
+// levelLabels lists the labels of the level spans under a propagation
+// span, in order.
+func levelLabels(t *testing.T, prop *obs.SpanNode) []string {
+	t.Helper()
+	var out []string
+	for _, c := range prop.Children {
+		if c.Name != "level" {
+			t.Errorf("propagation child span %q, want only level spans", c.Name)
+		}
+		out = append(out, fmt.Sprintf("level=%s dirty=%s evaluated=%s skipped=%s",
+			c.Labels["level"], c.Labels["dirty"], c.Labels["evaluated"], c.Labels["skipped"]))
+	}
+	return out
+}
+
+// TestTracedLevelSpans: a traced c17 analysis keeps its span names (plan,
+// build and propagate under the root, one level span per level with
+// dirty stages under propagate) and each level span's level, dirty,
+// evaluated and skipped labels, on one worker and on two. An incremental
+// round that the input cutoff prunes labels its skip the same way.
+func TestTracedLevelSpans(t *testing.T) {
+	ctx := context.Background()
+	nl, primary, opt := testutil.C17Fixture(t)
+	spec := BackendSpec{Kind: BackendCSM, Tech: testutil.Tech(), CSM: testutil.CoarseConfig()}
+	cold := []string{
+		"level=0 dirty=2 evaluated=2 skipped=0",
+		"level=1 dirty=2 evaluated=2 skipped=0",
+		"level=2 dirty=2 evaluated=2 skipped=0",
+	}
+	for _, workers := range []int{1, 2} {
+		e := New(workers, coarseCache)
+		tr := obs.New("sta")
+		if _, err := e.AnalyzeBackend(obs.WithSpan(ctx, tr.Root()), spec, nl, primary, opt); err != nil {
+			t.Fatal(err)
+		}
+		tree := tr.Finish()
+		var names []string
+		for _, c := range tree.Children {
+			names = append(names, c.Name)
+		}
+		if fmt.Sprint(names) != "[plan build propagate]" {
+			t.Fatalf("workers=%d: root children %v, want [plan build propagate]", workers, names)
+		}
+		if got := levelLabels(t, tree.Children[2]); fmt.Sprint(got) != fmt.Sprint(cold) {
+			t.Errorf("workers=%d: level spans %q, want %q", workers, got, cold)
+		}
+
+		// G19's pin 1 rewired to n10 and back: G10 re-evaluates (its load
+		// moved and moved back), G19 is skipped by the input cutoff.
+		models, err := e.ModelsFor(spec.Tech, nl, spec.CSM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.Build(nl, models, primary, opt, graph.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Propagate(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Rewire("G19", 1, "n10"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Rewire("G19", 1, "n7"); err != nil {
+			t.Fatal(err)
+		}
+		tr = obs.New("eco")
+		if _, err := g.Propagate(obs.WithSpan(ctx, tr.Root())); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"level=0 dirty=1 evaluated=1 skipped=0", "level=1 dirty=1 evaluated=0 skipped=1"}
+		if got := levelLabels(t, tr.Finish()); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: incremental level spans %q, want %q", workers, got, want)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -177,6 +179,100 @@ func TestHybridRefinementMatchesColdBuild(t *testing.T) {
 	}
 }
 
+// TestHybridStreamingBitIdentical: on the c432 150 ps hybrid session,
+// whose CSM-refined stages form chains that stream into each other on
+// more than one worker, seeded swap and load rounds give the same stats
+// (but for the streamed count), delta bytes and retained waveforms at 2,
+// 3 and 8 workers as on one.
+func TestHybridStreamingBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	nl, primary, opt := c432Workload(t)
+	e := refineEngine
+	spec := BackendSpec{Kind: BackendHybrid, Tech: testutil.Tech(), CSM: testutil.CoarseConfig(), Margin: 150e-12}
+	modelFor := modelForCache(e, spec.CSM)
+	workers := []int{1, 2, 3, 8}
+	graphs := make([]*graph.TimingGraph, len(workers))
+	var plan *BackendPlan
+	streamed := 0
+	same := func(label string, i int, got, want graph.Stats) {
+		t.Helper()
+		streamed += got.StagesStreamed
+		if workers[i] == 1 && got.StagesStreamed != 0 {
+			t.Errorf("%s: %d stages streamed on one worker", label, got.StagesStreamed)
+		}
+		got.StagesStreamed = 0
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s workers=%d: stats %+v, one worker %+v", label, workers[i], got, want)
+		}
+	}
+	var want graph.Stats
+	for i, w := range workers {
+		p, g, stats, err := e.BackendGraph(ctx, spec, nl, primary, opt, graph.Config{Workers: w, ModelFor: modelFor})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if i == 0 {
+			plan, want = p, stats
+		}
+		same("session build", i, stats, want)
+		graphs[i] = g
+	}
+	// Round targets: the refined stages and the 2-input stages feeding them.
+	var targets []int
+	for idx, k := range plan.Assign {
+		if k != BackendCSM {
+			continue
+		}
+		targets = append(targets, idx)
+		for _, net := range nl.Instances[idx].Inputs {
+			for d, inst := range nl.Instances {
+				if inst.Output == net && len(inst.Inputs) == 2 {
+					targets = append(targets, d)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(22))
+	for round := 0; round < 6; round++ {
+		inst := graphs[0].Netlist().Instances[targets[rng.Intn(len(targets))]]
+		batch := []graph.Edit{{Op: "set_load", Net: inst.Output, Cap: fmt.Sprintf("%df", 1+rng.Intn(8))}}
+		if len(inst.Inputs) == 2 {
+			typ := "NAND2"
+			if inst.Type == "NAND2" {
+				typ = "NOR2"
+			}
+			batch = append(batch, graph.Edit{Op: "swap_cell", Inst: inst.Name, Type: typ})
+		}
+		label := fmt.Sprintf("round %d", round)
+		var wantDelta []byte
+		for i, g := range graphs {
+			n, err := g.ApplyBatch(batch)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", label, workers[i], err)
+			}
+			stats, err := g.Propagate(ctx)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", label, workers[i], err)
+			}
+			delta, err := graph.MarshalDelta(g.Delta("c432", n, stats))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want, wantDelta = stats, delta
+			}
+			same(label, i, stats, want)
+			if !bytes.Equal(delta, wantDelta) {
+				t.Errorf("%s workers=%d: delta bytes differ from one worker's", label, workers[i])
+			}
+		}
+	}
+	for i, g := range graphs[1:] {
+		testutil.RequireIdenticalReports(t, fmt.Sprintf("workers=%d after the rounds", workers[i+1]), g.Report(), graphs[0].Report())
+	}
+	t.Logf("%d stage evaluations started on a live input over %d graphs", streamed, len(workers)-1)
+}
+
 // TestHybridRefinementCost pins the economy of refining in place on the
 // c432 150 ps fixture workload: the 13 near-critical stages take exactly
 // one CSM solve each, and the refinement re-evaluates only their cone on
@@ -208,7 +304,7 @@ func TestHybridRefinementCost(t *testing.T) {
 	}
 	// plan left the graph flipped; a counting copy of its hook changes no
 	// output and no dirty stage.
-	if err := g.SetBackend(counted, nil, nil); err != nil {
+	if err := g.SetBackend(counted, plan.live, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := g.Propagate(ctx)
@@ -278,7 +374,7 @@ inst V1 NOR2 z n1 lo
 	if _, err := g.Propagate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := graph.Build(g.Netlist().Clone(), g.Models(), g.PrimaryWaves(), g.Options(), plan.GraphConfig(2, modelFor))
+	cold, err := graph.Build(g.Netlist().Clone(), g.Models(), primary, g.Options(), plan.GraphConfig(2, modelFor))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,8 @@ func (g *TimingGraph) SwapCell(instName, newType string) error {
 }
 
 // SetBackend switches the graph's stage evaluator in place (nil restores
-// the CSM default) and grows its model set: the hybrid backend's
+// the CSM default), with the stages it may stream as Config.WithLiveStages
+// declares them, and grows its model set: the hybrid backend's
 // refinement of a table-propagated graph. The listed stages, whose
 // calculator changed, re-evaluate on the next Propagate even though their
 // inputs did not move; the cached loads the added models change are
@@ -84,7 +85,7 @@ func (g *TimingGraph) SwapCell(instName, newType string) error {
 // and loads (a table stage ignores the CSM load). Then the propagated
 // graph is bit-identical to a fresh Build with the new hook and models.
 // SetBackend is not an edit: the netlist and the edit count stay as they are.
-func (g *TimingGraph) SetBackend(eval EvalFunc, models map[string]*csm.Model, stages []int) error {
+func (g *TimingGraph) SetBackend(eval EvalFunc, live func(idx int) bool, models map[string]*csm.Model, stages []int) error {
 	for _, idx := range stages {
 		if idx < 0 || idx >= len(g.nl.Instances) {
 			return fmt.Errorf("graph: set_backend: stage %d out of range (%d stages)", idx, len(g.nl.Instances))
@@ -97,10 +98,7 @@ func (g *TimingGraph) SetBackend(eval EvalFunc, models map[string]*csm.Model, st
 	for _, net := range receivers {
 		delete(g.loads, net)
 	}
-	g.eval, g.customEval = eval, eval != nil
-	if eval == nil {
-		g.eval = sta.EvalStageWithLoad
-	}
+	g.setEval(eval, live)
 	for _, idx := range stages {
 		g.lastEval[idx] = stageInputs{}
 		g.dirty[idx] = true

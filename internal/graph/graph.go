@@ -5,8 +5,9 @@
 // (SwapCell, SetArrival, Rewire, SetLoad).
 //
 // Edits mark a dirty frontier; Propagate re-evaluates only the dirty
-// stages and the transitive fanout cone of whatever actually changed,
-// level-parallel on a worker pool, with two cutoffs:
+// stages and the transitive fanout cone of whatever actually changed, on
+// a worker pool that starts a stage as soon as it is certain to run and
+// commits results level by level (schedule.go), with two cutoffs:
 //
 //   - input cutoff: a dirty stage whose retained input record (cell
 //     type, output-load generation, and the exact input waveforms of its
@@ -27,13 +28,9 @@
 package graph
 
 import (
-	"context"
 	"math"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"mcsm/internal/csm"
 	"mcsm/internal/obs"
@@ -45,14 +42,18 @@ import (
 // (re-)evaluation through — the sta.EvalStageWithLoad signature. Delay
 // backends substitute table lookup or per-stage mixed evaluation here; a
 // nil hook means the CSM waveform path, bit-identical to the one-shot
-// engine. Implementations must be safe for concurrent calls across the
-// stages of one topological level and must treat waves as read-only.
+// engine. Implementations must be safe for concurrent calls on stages
+// that do not feed each other. waves holds (at least) the stage's input
+// nets, is read-only and valid only during the call; for a stage the
+// graph's Config declares live (WithLiveStages), input entries may be
+// live views of fanin stages still being solved, and the entry for the
+// stage's own output net is the live view its solve publishes into.
 type EvalFunc func(nl *sta.Netlist, models map[string]*csm.Model, idx int, waves map[string]wave.Waveform, load csm.Load, vdd float64, opt sta.Options) (wave.Waveform, int, error)
 
 // Config scopes a TimingGraph build.
 type Config struct {
-	// Workers is the level-parallel pool width for Propagate
-	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical either way.
+	// Workers is the pool width for Propagate (0 = GOMAXPROCS, 1 =
+	// serial). Results are bit-identical either way.
 	Workers int
 	// ModelFor, when set, characterizes (or fetches) a model for a cell
 	// type that SwapCell introduces beyond the initially supplied set —
@@ -72,8 +73,26 @@ type Config struct {
 	Vdd float64
 	// EvalHist, when set, receives the duration of every stage
 	// evaluation — the engine threads its stage-latency histogram here.
-	// Nil disables the timing entirely (no clock reads on the hot path).
+	// A stage that started on a live input counts, within its duration,
+	// the time it waited for its producer's samples. Nil disables the
+	// timing entirely (no clock reads on the hot path).
 	EvalHist *obs.Histogram
+
+	live func(idx int) bool // WithLiveStages
+}
+
+// WithLiveStages returns c declaring the stages whose evaluation is the
+// CSM stage solve of sta.EvalStageWithLoad: it reads each input only at
+// its own step times and publishes its output while it records it. With
+// more than one worker and ModeMIS, such a stage may start while a fanin
+// stage of the same kind is still being solved, reading that input as it
+// is recorded. A nil Eval is that solve for every stage, so a graph
+// without a hook declares every stage; a hook that wraps the solve
+// (keeping its waves argument) keeps the declaration of the plan it came
+// from.
+func (c Config) WithLiveStages(live func(idx int) bool) Config {
+	c.live = live
+	return c
 }
 
 // Stats summarizes one Propagate call.
@@ -88,6 +107,10 @@ type Stats struct {
 	// StagesConverged counts evaluated stages whose output came back
 	// bit-identical to the retained waveform, cutting propagation there.
 	StagesConverged int
+	// StagesStreamed counts evaluated stages that started while one of
+	// their inputs was still being solved. It depends on the schedule, so
+	// it never enters a report or a delta.
+	StagesStreamed int
 	// ChangedNets lists, sorted, every net whose retained waveform changed
 	// (including primary inputs replaced by SetArrival).
 	ChangedNets []string
@@ -113,7 +136,8 @@ type TimingGraph struct {
 	workers int
 
 	eval       EvalFunc
-	customEval bool // a backend hook is installed (relaxes SwapCell's CSM-model demand)
+	customEval bool               // a backend hook is installed (relaxes SwapCell's CSM-model demand)
+	live       func(idx int) bool // stages that may read live inputs (nil: none)
 	modelFor   func(string) (*csm.Model, error)
 	evalHist   *obs.Histogram
 
@@ -133,6 +157,13 @@ type TimingGraph struct {
 	edits          int64           // edits applied over the graph's lifetime
 
 	stageEvals atomic.Int64
+
+	// Propagate's scratch, kept across calls: per-stage schedule state
+	// (cleared at the end of every call), the stage levels, and the
+	// per-stage input maps handed to the evaluator.
+	tasks []*task
+	level []int32
+	maps  []map[string]wave.Waveform
 }
 
 // Build constructs the retained graph: levelization and model validation
@@ -182,12 +213,8 @@ func Build(nl *sta.Netlist, models map[string]*csm.Model, primary map[string]wav
 		dirty:          make(map[int]bool, len(nl.Instances)),
 		pendingChanged: map[string]bool{},
 	}
-	g.eval = cfg.Eval
-	g.customEval = cfg.Eval != nil
+	g.setEval(cfg.Eval, cfg.live)
 	g.evalHist = cfg.EvalHist
-	if g.eval == nil {
-		g.eval = sta.EvalStageWithLoad
-	}
 	for t, m := range models {
 		g.models[t] = m
 	}
@@ -226,9 +253,6 @@ func (g *TimingGraph) Edits() int64 { return g.edits }
 // StageEvals reports cumulative stage simulations (the hot-path op count).
 func (g *TimingGraph) StageEvals() int64 { return g.stageEvals.Load() }
 
-// DirtyCount reports stages currently awaiting re-evaluation.
-func (g *TimingGraph) DirtyCount() int { return len(g.dirty) }
-
 // NetCount reports the number of nets carrying retained waveforms
 // (primary inputs plus every evaluated stage output) — the size a full
 // Report would have, without materializing one.
@@ -241,18 +265,6 @@ func (g *TimingGraph) Models() map[string]*csm.Model {
 	out := make(map[string]*csm.Model, len(g.models))
 	for t, m := range g.models {
 		out[t] = m
-	}
-	return out
-}
-
-// PrimaryWaves returns a copy of the current primary-input drive
-// (reflecting SetArrival edits).
-func (g *TimingGraph) PrimaryWaves() map[string]wave.Waveform {
-	out := make(map[string]wave.Waveform, len(g.nl.PrimaryIn))
-	for _, net := range g.nl.PrimaryIn {
-		if w, ok := g.waves[net]; ok {
-			out[net] = w
-		}
 	}
 	return out
 }
@@ -289,193 +301,9 @@ type stageInputs struct {
 	in      []wave.Waveform
 }
 
-// matches reports whether the record equals the stage's current inputs.
-func (s *stageInputs) matches(typ string, loadGen uint64, cur []wave.Waveform) bool {
-	if s.in == nil || s.typ != typ || s.loadGen != loadGen || len(s.in) != len(cur) {
-		return false
-	}
-	for j := range cur {
-		if !waveEqual(s.in[j], cur[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-// stageResult is one stage's outcome within a level.
-type stageResult struct {
-	skipped   bool
-	inputs    stageInputs
-	out       wave.Waveform
-	switching int
-	err       error
-}
-
-// Propagate drains the dirty set: levels are processed in topological
-// order, the dirty stages inside each level concurrently on up to Workers
-// goroutines, and outputs are committed only between levels — exactly the
-// engine's schedule, so results are bit-identical at any pool width. The
-// context is checked at level barriers.
-//
-// On a stage error nothing of the failing level commits and the dirty set
-// retains the failing level and everything below it, so the graph stays
-// consistent: a later edit can repair the fault and Propagate again. With
-// several failures in one level the lowest-index stage's error wins.
-func (g *TimingGraph) Propagate(ctx context.Context) (Stats, error) {
-	levels, err := g.nl.Levels()
-	if err != nil {
-		return Stats{}, err
-	}
-	stats := Stats{StagesTotal: len(g.nl.Instances)}
-	changed := g.pendingChanged
-	g.pendingChanged = map[string]bool{}
-	span := obs.SpanFrom(ctx)
-
-	for lvl, level := range levels {
-		if err := ctx.Err(); err != nil {
-			g.stashChanged(changed)
-			return stats, err
-		}
-		var todo []int
-		for _, idx := range level {
-			if g.dirty[idx] {
-				todo = append(todo, idx)
-			}
-		}
-		if len(todo) == 0 {
-			continue
-		}
-		levelSpan := span.Start("level")
-		levelSpan.LabelInt("level", int64(lvl))
-		levelSpan.LabelInt("dirty", int64(len(todo)))
-		evalBase, skipBase := stats.StagesEvaluated, stats.StagesSkipped
-		// Prefetch the stage loads serially: loadFor fills a cache map,
-		// which must not race with the parallel evaluations.
-		for _, idx := range todo {
-			g.loadFor(g.nl.Instances[idx].Output)
-		}
-
-		results := make([]stageResult, len(todo))
-		if g.workers == 1 || len(todo) == 1 {
-			for j, idx := range todo {
-				results[j] = g.evalStage(idx)
-				if results[j].err != nil {
-					break
-				}
-			}
-		} else {
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			var failed atomic.Bool
-			workers := g.workers
-			if workers > len(todo) {
-				workers = len(todo)
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := range jobs {
-						if failed.Load() {
-							continue // drain: a stage already failed
-						}
-						results[j] = g.evalStage(todo[j])
-						if results[j].err != nil {
-							failed.Store(true)
-						}
-					}
-				}()
-			}
-			for j := range todo {
-				jobs <- j
-			}
-			close(jobs)
-			wg.Wait()
-		}
-
-		for j := range todo {
-			if results[j].err != nil {
-				levelSpan.End()
-				g.stashChanged(changed)
-				return stats, results[j].err
-			}
-		}
-
-		fanouts := g.nl.Fanouts()
-		for j, idx := range todo {
-			r := results[j]
-			delete(g.dirty, idx)
-			if r.skipped {
-				stats.StagesSkipped++
-				continue
-			}
-			stats.StagesEvaluated++
-			g.lastEval[idx] = r.inputs
-			g.switching[idx] = r.switching
-			out := g.nl.Instances[idx].Output
-			if old, ok := g.waves[out]; ok && waveEqual(old, r.out) {
-				stats.StagesConverged++
-				continue
-			}
-			g.waves[out] = r.out
-			changed[out] = true
-			for _, fo := range fanouts[out] {
-				g.dirty[fo[0]] = true
-			}
-		}
-		levelSpan.LabelInt("evaluated", int64(stats.StagesEvaluated-evalBase))
-		levelSpan.LabelInt("skipped", int64(stats.StagesSkipped-skipBase))
-		levelSpan.End()
-	}
-
-	stats.ChangedNets = make([]string, 0, len(changed))
-	for net := range changed {
-		stats.ChangedNets = append(stats.ChangedNets, net)
-	}
-	sort.Strings(stats.ChangedNets)
-	return stats, nil
-}
-
-// stashChanged re-queues net-change records when a propagation aborts, so
-// the next successful Propagate still reports them in its delta.
-func (g *TimingGraph) stashChanged(changed map[string]bool) {
-	for net := range changed {
-		g.pendingChanged[net] = true
-	}
-}
-
-// evalStage evaluates one stage against the retained waveforms, applying
-// the input cutoff (exact comparison against the stage's last-eval input
-// record). Safe to call concurrently for the stages of one level: it
-// only reads shared state (loads must be prefetched).
-func (g *TimingGraph) evalStage(idx int) stageResult {
-	inst := g.nl.Instances[idx]
-	cur := make([]wave.Waveform, len(inst.Inputs))
-	for j, net := range inst.Inputs {
-		cur[j] = g.waves[net]
-	}
-	rec := stageInputs{typ: inst.Type, loadGen: g.loadGen[inst.Output], in: cur}
-	if g.lastEval[idx].matches(rec.typ, rec.loadGen, cur) {
-		return stageResult{skipped: true}
-	}
-	var t0 time.Time
-	if g.evalHist != nil {
-		t0 = time.Now()
-	}
-	out, sw, err := g.eval(g.nl, g.models, idx, g.waves, g.loads[inst.Output], g.vdd, g.opt)
-	if g.evalHist != nil {
-		g.evalHist.ObserveSince(t0)
-	}
-	if err != nil {
-		return stageResult{err: err}
-	}
-	g.stageEvals.Add(1)
-	return stageResult{inputs: rec, out: out, switching: sw, err: nil}
-}
-
 // loadFor returns the cached stage load on net, rebuilding it after an
-// edit bumped the net's load generation. Not safe concurrently (callers
-// prefetch before fanning a level out).
+// edit bumped the net's load generation. Not safe concurrently: only
+// Propagate's scheduling goroutine calls it, before starting a stage.
 func (g *TimingGraph) loadFor(net string) csm.Load {
 	if l, ok := g.loads[net]; ok {
 		return l
@@ -496,18 +324,26 @@ func waveEqual(a, b wave.Waveform) bool {
 	if len(a.T) != len(b.T) || len(a.V) != len(b.V) {
 		return false
 	}
-	if len(a.T) > 0 && &a.T[0] == &b.T[0] && len(a.V) > 0 && &a.V[0] == &b.V[0] {
+	if sameSlices(a, b) {
 		return true
 	}
 	for i := range a.T {
-		if math.Float64bits(a.T[i]) != math.Float64bits(b.T[i]) {
-			return false
-		}
-	}
-	for i := range a.V {
-		if math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
+		if !sameSample(a, b, i) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameSlices reports whether two waveforms of equal length share their
+// backing arrays.
+func sameSlices(a, b wave.Waveform) bool {
+	return len(a.T) == len(b.T) && len(a.V) == len(b.V) &&
+		len(a.T) > 0 && &a.T[0] == &b.T[0] && len(a.V) > 0 && &a.V[0] == &b.V[0]
+}
+
+// sameSample reports whether sample i of a and b has the same bits.
+func sameSample(a, b wave.Waveform, i int) bool {
+	return math.Float64bits(a.T[i]) == math.Float64bits(b.T[i]) &&
+		math.Float64bits(a.V[i]) == math.Float64bits(b.V[i])
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ import (
 func coldReport(t *testing.T, g *graph.TimingGraph, workers int) *sta.Report {
 	t.Helper()
 	eng := engine.New(workers, nil)
-	rep, err := eng.Analyze(g.Netlist().Clone(), g.Models(), g.PrimaryWaves(), g.Options())
+	rep, err := eng.Analyze(g.Netlist().Clone(), g.Models(), graph.PrimaryWaves(g), g.Options())
 	if err != nil {
 		t.Fatalf("cold analysis: %v", err)
 	}
@@ -71,11 +72,12 @@ func buildC17(t *testing.T, workers int) *graph.TimingGraph {
 	return g
 }
 
-// workerCounts is the invariant-test matrix: serial, a small pool, and
+// workerCounts is the invariant-test matrix: serial, the fewest workers
+// a stage can stream on, an odd width, a small pool, a wide one, and
 // everything the host has.
 func workerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
+	counts := []int{1, 2, 3, 4, 8}
+	if n := runtime.NumCPU(); !slices.Contains(counts, n) {
 		counts = append(counts, n)
 	}
 	return counts
@@ -143,29 +145,103 @@ func randomEdit(t *testing.T, rng *rand.Rand, g *graph.TimingGraph) {
 	}
 }
 
-// TestIncrementalEqualsColdC17 is the headline invariant on c17: random
-// edit sequences, propagated incrementally, must leave retained state
-// bit-identical to a cold full analysis of the edited netlist — at every
-// worker count.
-func TestIncrementalEqualsColdC17(t *testing.T) {
+// editSeeds returns the seeds of an invariant test's edit sequences:
+// seed(w) for w = 1, 4 and the host's CPU count, without repeats.
+func editSeeds(seed func(w int) int64) []int64 {
+	var out []int64
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		if s := seed(w); !slices.Contains(out, s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// invariantRound is what one edit round left on a graph.
+type invariantRound struct {
+	stats graph.Stats
+	delta []byte
+	rep   *sta.Report
+}
+
+// replay applies one seeded sequence of random edit batches to a
+// propagated graph, propagating after each, and returns what each round
+// left. With cold set, every round must also leave the graph
+// bit-identical to a cold analysis of the edited netlist, run on every
+// CPU the test may use.
+func replay(t *testing.T, g *graph.TimingGraph, seed int64, batches int, cold bool) []invariantRound {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rounds := make([]invariantRound, batches)
+	for batch := range rounds {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			randomEdit(t, rng, g)
+		}
+		label := fmt.Sprintf("seed %d batch %d", seed, batch)
+		stats, err := g.Propagate(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if n := len(graph.Dirty(g)); n != 0 {
+			t.Fatalf("%s: %d stages still dirty after Propagate", label, n)
+		}
+		t.Logf("%s: %d/%d stages re-evaluated (%.0f%%), %d converged, %d nets changed, %d streamed",
+			label, stats.StagesEvaluated, stats.StagesTotal, 100*stats.ReevalFraction(),
+			stats.StagesConverged, len(stats.ChangedNets), stats.StagesStreamed)
+		delta, err := graph.MarshalDelta(g.Delta("x", 0, stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold {
+			requireMatchesCold(t, label, g, runtime.GOMAXPROCS(0))
+		}
+		rounds[batch] = invariantRound{stats, delta, g.Report()}
+	}
+	return rounds
+}
+
+// runInvariant replays each seeded edit sequence on a fresh propagated
+// graph per worker count, one subtest per count. The serial replay of a
+// seed must match a cold analysis after every round; every other replay
+// must leave the serial replay's stats (but for the schedule's streamed
+// count), delta bytes and retained state. A subtest builds the serial
+// replays it needs when no earlier subtest has, so each runs on its own.
+func runInvariant(t *testing.T, seeds []int64, batches int, build func(t *testing.T, workers int) *graph.TimingGraph) {
+	serial := map[int64][]invariantRound{}
 	for _, workers := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17*int64(workers) + 1))
-			g := buildC17(t, workers)
-			for batch := 0; batch < 5; batch++ {
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					randomEdit(t, rng, g)
+			for _, seed := range seeds {
+				want, ok := serial[seed]
+				if !ok {
+					want = replay(t, build(t, 1), seed, batches, true)
+					serial[seed] = want
 				}
-				if _, err := g.Propagate(context.Background()); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
+				if workers == 1 {
+					continue
 				}
-				if g.DirtyCount() != 0 {
-					t.Fatalf("batch %d: %d stages still dirty after Propagate", batch, g.DirtyCount())
+				for batch, got := range replay(t, build(t, workers), seed, batches, false) {
+					label := fmt.Sprintf("seed %d batch %d", seed, batch)
+					got.stats.StagesStreamed = 0
+					if fmt.Sprint(got.stats) != fmt.Sprint(want[batch].stats) {
+						t.Errorf("%s: stats %+v, serial %+v", label, got.stats, want[batch].stats)
+					}
+					if !bytes.Equal(got.delta, want[batch].delta) {
+						t.Errorf("%s: delta bytes differ from the serial schedule's", label)
+					}
+					testutil.RequireIdenticalReports(t, label, got.rep, want[batch].rep)
 				}
-				requireMatchesCold(t, fmt.Sprintf("batch %d", batch), g, workers)
 			}
 		})
 	}
+}
+
+// TestIncrementalEqualsColdC17 is the headline invariant on c17: random
+// edit sequences, propagated incrementally, must leave retained state
+// bit-identical to a cold full analysis of the edited netlist, with the
+// same stats and delta bytes at every worker count.
+func TestIncrementalEqualsColdC17(t *testing.T) {
+	seeds := editSeeds(func(w int) int64 { return 17*int64(w) + 1 })
+	runInvariant(t, seeds, 5, buildC17)
 }
 
 // TestIncrementalEqualsColdGenerated extends the invariant to a seeded
@@ -193,32 +269,17 @@ func TestIncrementalEqualsColdGenerated(t *testing.T) {
 	horizon := netlist.Horizon(len(levels), slew)
 	primary := netlist.Stimulus(nl.PrimaryIn, testutil.Tech().Vdd, slew, horizon)
 	opt := sta.Options{Horizon: horizon, Dt: 4e-12}
-
-	for _, workers := range workerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			g, err := graph.Build(nl, testutil.FastModels(t), primary, opt, graph.Config{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := g.Propagate(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(480 + int64(workers)))
-			for batch := 0; batch < 2; batch++ {
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					randomEdit(t, rng, g)
-				}
-				stats, err := g.Propagate(context.Background())
-				if err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				t.Logf("batch %d: %d/%d stages re-evaluated (%.0f%%), %d converged, %d nets changed",
-					batch, stats.StagesEvaluated, stats.StagesTotal,
-					100*stats.ReevalFraction(), stats.StagesConverged, len(stats.ChangedNets))
-				requireMatchesCold(t, fmt.Sprintf("batch %d", batch), g, workers)
-			}
-		})
-	}
+	seeds := editSeeds(func(w int) int64 { return 480 + int64(w) })
+	runInvariant(t, seeds, 2, func(t *testing.T, workers int) *graph.TimingGraph {
+		g, err := graph.Build(nl, testutil.FastModels(t), primary, opt, graph.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Propagate(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	})
 }
 
 // TestReevalFractionC432 pins the economy claim the incremental layer
@@ -411,7 +472,7 @@ func TestPropagateCancellation(t *testing.T) {
 	if _, err := g.Propagate(ctx); err != context.Canceled {
 		t.Fatalf("propagate under canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if g.DirtyCount() == 0 {
+	if len(graph.Dirty(g)) == 0 {
 		t.Fatal("canceled propagate drained the dirty set")
 	}
 	if _, err := g.Propagate(context.Background()); err != nil {
@@ -539,15 +600,15 @@ func TestSetBackend(t *testing.T) {
 	}
 
 	n := len(nl.Instances)
-	if err := g.SetBackend(nil, nil, []int{n}); err == nil {
+	if err := g.SetBackend(nil, nil, nil, []int{n}); err == nil {
 		t.Error("accepted an out-of-range stage")
 	}
 	offRail := &csm.Model{Vdd: g.Vdd() + 0.1}
-	if err := g.SetBackend(nil, map[string]*csm.Model{"NOR2": all["NOR2"], "INV": offRail}, nil); err == nil {
+	if err := g.SetBackend(nil, nil, map[string]*csm.Model{"NOR2": all["NOR2"], "INV": offRail}, nil); err == nil {
 		t.Error("accepted a model off the graph's rail")
 	}
-	if len(g.Models()) != 1 || g.DirtyCount() != 0 {
-		t.Fatalf("rejected switches changed the graph: %d models, %d dirty", len(g.Models()), g.DirtyCount())
+	if len(g.Models()) != 1 || len(graph.Dirty(g)) != 0 {
+		t.Fatalf("rejected switches changed the graph: %d models, %d dirty", len(g.Models()), len(graph.Dirty(g)))
 	}
 
 	// G19 moves to the graph's own loads; G11, which reads its load, sees
@@ -561,7 +622,7 @@ func TestSetBackend(t *testing.T) {
 			g19 = i
 		}
 	}
-	if err := g.SetBackend(nil, map[string]*csm.Model{"NOR2": all["NOR2"]}, []int{g11, g19}); err != nil {
+	if err := g.SetBackend(nil, nil, map[string]*csm.Model{"NOR2": all["NOR2"]}, []int{g11, g19}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := g.Propagate(context.Background())
@@ -575,7 +636,7 @@ func TestSetBackend(t *testing.T) {
 
 	// Switching to the evaluator already in place changes no output: the
 	// listed stages re-evaluate and converge.
-	if err := g.SetBackend(nil, nil, []int{0, 1}); err != nil {
+	if err := g.SetBackend(nil, nil, nil, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err = g.Propagate(context.Background())

@@ -41,6 +41,7 @@ type metrics struct {
 	ecoEdits         atomic.Int64
 	ecoStageEvals    atomic.Int64
 	ecoNetsChanged   atomic.Int64
+	sessionStreamed  atomic.Int64
 	errors           atomic.Int64
 	inFlight         atomic.Int64
 	queued           atomic.Int64
@@ -180,11 +181,17 @@ type SessionMetrics struct {
 	EcoEdits       int64 `json:"eco_edits"`
 	EcoStageEvals  int64 `json:"eco_stage_evals"`
 	EcoNetsChanged int64 `json:"eco_nets_changed"`
+	// StagesStreamed counts stages that started while one of their inputs
+	// was still being solved, over session builds and ECO rounds. It
+	// depends on the schedule, so no reply carries it.
+	StagesStreamed int64 `json:"stages_streamed"`
 }
 
 // LatencyMetrics is the latency section of /metrics: per-endpoint and
 // per-backend wall-time histograms (count, mean, p50/p95/p99) plus the
-// engine's stage-evaluation histogram. Quantiles are bucket upper
+// engine's stage-evaluation histogram, whose durations include the time
+// a stage that started on a live input waited for its producer's
+// samples. Quantiles are bucket upper
 // bounds of the powers-of-√2 histogram, so they are exact with respect
 // to the bucketing (≤ √2× the true sample).
 type LatencyMetrics struct {
@@ -236,8 +243,12 @@ type Metrics struct {
 	MC         MCMetrics      `json:"mc"`
 	Latency    LatencyMetrics `json:"latency"`
 
-	StageEvals        int64   `json:"stage_evals"`
-	StageEvalsPerSec  float64 `json:"stage_evals_per_sec"`
+	StageEvals       int64   `json:"stage_evals"`
+	StageEvalsPerSec float64 `json:"stage_evals_per_sec"`
+	// StagesStreamed counts one-shot analysis stages that started while
+	// one of their inputs was still being solved (sessions count theirs
+	// under sessions).
+	StagesStreamed    int64   `json:"stages_streamed"`
 	SweepPointEvals   int64   `json:"sweep_point_evals"`
 	SweepPointsPerSec float64 `json:"sweep_points_per_sec"`
 
@@ -300,6 +311,7 @@ func (s *Server) Snapshot() Metrics {
 			StageEvals: s.metrics.mcStageEvals.Load(),
 		},
 		StageEvals:      s.eng.StageEvals(),
+		StagesStreamed:  s.eng.StagesStreamed(),
 		StageDC:         csm.ReadStageDCStats(),
 		SweepPointEvals: s.metrics.sweepPoints.Load(),
 		Latency: LatencyMetrics{

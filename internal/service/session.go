@@ -143,6 +143,7 @@ func (s *Server) sessionMetrics() SessionMetrics {
 		EcoRounds:      s.metrics.ecoRounds.Load(),
 		EcoEdits:       s.metrics.ecoEdits.Load(),
 		EcoStageEvals:  s.metrics.ecoStageEvals.Load(),
+		StagesStreamed: s.metrics.sessionStreamed.Load(),
 		EcoNetsChanged: s.metrics.ecoNetsChanged.Load(),
 	}
 }
@@ -209,12 +210,13 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	// full-circuit build would drown the signal.
 	s.metrics.backendCounter(job.backend).Add(1)
 	buildStart := time.Now()
-	g, plan, _, err := cliutil.BuildBackendGraphCtx(ctx, s.eng, s.tech, wl, job.backendSpec(s.tech), primary, opt)
+	g, plan, stats, err := cliutil.BuildBackendGraphCtx(ctx, s.eng, s.tech, wl, job.backendSpec(s.tech), primary, opt)
 	s.metrics.backendHist(job.backend).ObserveSince(buildStart)
 	if err != nil {
 		s.error(w, statusFor(err), err)
 		return
 	}
+	s.metrics.sessionStreamed.Add(int64(stats.StagesStreamed))
 	s.metrics.countHybrid(plan)
 
 	// Register under the requested id, or mint auto ids until one is
@@ -308,6 +310,7 @@ func (s *Server) handleEco(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ecoRounds.Add(1)
 	s.metrics.ecoStageEvals.Add(int64(stats.StagesEvaluated))
 	s.metrics.ecoNetsChanged.Add(int64(len(stats.ChangedNets)))
+	s.metrics.sessionStreamed.Add(int64(stats.StagesStreamed))
 
 	body, err := graph.MarshalDelta(sess.g.Delta(sess.name, applied, stats))
 	if err != nil {

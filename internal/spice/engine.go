@@ -381,7 +381,7 @@ func (e *Engine) RunUntil(start, stop, dt float64, done func(*Result) bool, keep
 	if err != nil {
 		return nil, err
 	}
-	return e.runFrom(x0, start, stop, dt, done, keep)
+	return e.runFrom(x0, start, stop, dt, done, nil, keep)
 }
 
 // FixedSteps returns the step count of a fixed-step run over [start, stop]
@@ -402,16 +402,25 @@ func FixedSteps(start, stop, dt float64) (int, error) {
 	return int(steps), nil
 }
 
+// PublishEvery is the step count between the record prefixes RunFrom
+// hands publish: a reader following the run lags it by at most this many
+// steps, and the run pays one publication per this many.
+const PublishEvery = 16
+
 // RunFrom performs a transient analysis starting from the supplied unknown
 // vector (typically a previous DC or transient solution). keep is as for
-// Run.
-func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, keep ...int) (*Result, error) {
-	return e.runFrom(x0, start, stop, dt, nil, keep)
+// Run. A non-nil publish sees the record after every PublishEvery
+// recorded steps while the run goes on, so another goroutine can read
+// the samples recorded so far: the record is reserved for the whole
+// window before the first step and never moves, and a recorded sample
+// never changes, so a published prefix stays valid.
+func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, publish func(*Result), keep ...int) (*Result, error) {
+	return e.runFrom(x0, start, stop, dt, nil, publish, keep)
 }
 
 // runFrom is the one fixed-step transient loop, behind RunFrom and
-// RunUntil; done is as for RunUntil.
-func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Result) bool, keep []int) (*Result, error) {
+// RunUntil; done is as for RunUntil and publish as for RunFrom.
+func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Result) bool, publish func(*Result), keep []int) (*Result, error) {
 	nSteps, err := FixedSteps(start, stop, dt)
 	if err != nil {
 		return nil, err
@@ -492,6 +501,9 @@ func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Resul
 		res.record(tEnd, ctx.X)
 		if done != nil && done(res) {
 			break
+		}
+		if publish != nil && k%PublishEvery == 0 {
+			publish(res)
 		}
 	}
 	return res, nil

@@ -123,7 +123,7 @@ func TestISourceIntoCap(t *testing.T) {
 	// Start from a zero initial condition (an uncharged capacitor); the DC
 	// solution of this circuit is unbounded by construction.
 	x0 := make([]float64, e.Unknowns())
-	res, err := e.RunFrom(x0, 0, 1e-9, 1e-12)
+	res, err := e.RunFrom(x0, 0, 1e-9, 1e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := e.Run(0, 1e-9, 0); err == nil {
 		t.Error("zero dt accepted")
 	}
-	if _, err := e.RunFrom([]float64{1, 2, 3}, 0, 1e-9, 1e-12); err == nil {
+	if _, err := e.RunFrom([]float64{1, 2, 3}, 0, 1e-9, 1e-12, nil); err == nil {
 		t.Error("wrong-size initial state accepted")
 	}
 }

@@ -36,7 +36,7 @@ func TestRunStepBound(t *testing.T) {
 		if _, err := e.Run(0, 4e-9, dt); err == nil {
 			t.Fatalf("Run(0, 4n, %g) accepted", dt)
 		}
-		if _, err := e.RunFrom(make([]float64, e.Unknowns()), 0, 4e-9, dt); err == nil {
+		if _, err := e.RunFrom(make([]float64, e.Unknowns()), 0, 4e-9, dt, nil); err == nil {
 			t.Fatalf("RunFrom(0, 4n, %g) accepted", dt)
 		}
 	}
@@ -174,5 +174,81 @@ func TestRunUntilPrefix(t *testing.T) {
 	sameRecordPrefix(t, early, rf, []int{oi, aux})
 	if c := cap(early.Times); c >= rf.Steps() || c >= 2*max(n, unknownSteps) {
 		t.Errorf("run stopped after %d of %d points reserved %d slots", n, rf.Steps(), c)
+	}
+}
+
+// TestRunFromPublish: a run that publishes records bit for bit what an
+// unpublished run records, and hands out its record after every
+// PublishEvery steps, each time a longer prefix in the same storage. A
+// reader following the published stream on another goroutine reads, at
+// every planned step time and midpoint, what the final waveform holds —
+// also past its last sample, since the window's final step is a sliver
+// the loop skips.
+func TestRunFromPublish(t *testing.T) {
+	const dt = 1e-12
+	const planned = 201
+	stop := (planned-1)*dt + dt*1e-7
+	ref, out := buildInverter(DefaultOptions())
+	oi := int(out) - 1
+	x0, err := ref.DCAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunFrom(x0, 0, stop, dt, nil, oi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Steps() != planned {
+		t.Fatalf("reference run recorded %d points, want %d (the sliver step skipped)", want.Steps(), planned)
+	}
+
+	e, _ := buildInverter(DefaultOptions())
+	s := wave.NewStream(nil)
+	var queries []float64
+	for k := 0; k <= planned; k++ {
+		queries = append(queries, float64(k)*dt-dt/2, float64(k)*dt)
+	}
+	read := make(chan []float64)
+	go func() {
+		c := &wave.Cursor{W: s.Waveform()}
+		got := make([]float64, len(queries))
+		for i, q := range queries {
+			got[i] = c.At(q)
+		}
+		read <- got
+	}()
+	var lens []int
+	var first *float64
+	res, err := e.RunFrom(x0, 0, stop, dt, func(r *Result) {
+		if first == nil {
+			first = &r.Times[0]
+		} else if first != &r.Times[0] {
+			t.Errorf("record moved after %d points", r.Steps())
+		}
+		lens = append(lens, r.Steps())
+		s.Publish(r.Wave(out))
+	}, oi)
+	s.Close(res.Wave(out), err)
+	got := <-read
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecordPrefix(t, res, want, []int{oi})
+	if res.Steps() != want.Steps() {
+		t.Fatalf("publishing run recorded %d points, want %d", res.Steps(), want.Steps())
+	}
+	if len(lens) != (planned-1)/PublishEvery {
+		t.Errorf("published %d times, want %d", len(lens), (planned-1)/PublishEvery)
+	}
+	for i, n := range lens {
+		if n != (i+1)*PublishEvery+1 {
+			t.Errorf("publication %d held %d points, want %d", i, n, (i+1)*PublishEvery+1)
+		}
+	}
+	final := want.Wave(out)
+	for i, q := range queries {
+		if math.Float64bits(got[i]) != math.Float64bits(final.At(q)) {
+			t.Fatalf("live read at %g = %v, final %v", q, got[i], final.At(q))
+		}
 	}
 }

@@ -143,29 +143,48 @@ func EvalStage(nl *Netlist, models map[string]*csm.Model, fanouts map[string][][
 // caller instead of rebuilt from the fanout map — the primitive the
 // incremental timing graph uses to retain per-stage loads across edits
 // instead of reassembling them on every evaluation.
+//
+// Under ModeMIS an input may be a live view (wave.Stream) of a fanin
+// stage that is still being solved, and waves may hold a live view for
+// the stage's own output net, into which the solve publishes its output.
+// The MIS solve reads its inputs only at its own step times, so it runs
+// first; the switching count and the held-pin check read whole
+// waveforms, so they wait until the inputs are final, and their error
+// wins over the solve's, as when they ran first.
 func EvalStageWithLoad(nl *Netlist, models map[string]*csm.Model, idx int, waves map[string]wave.Waveform, load csm.Load, vdd float64, opt Options) (wave.Waveform, int, error) {
 	inst := nl.Instances[idx]
 	model, ok := models[inst.Type]
 	if !ok {
 		return wave.Waveform{}, 0, fmt.Errorf("sta: no model for cell type %q (instance %s)", inst.Type, inst.Name)
 	}
-	inWaves, switching, err := gatherInputs(inst, model, waves, opt.Horizon)
+	inWaves, held, err := gatherInputs(inst, model, waves)
 	if err != nil {
 		return wave.Waveform{}, 0, err
 	}
 
 	var outW wave.Waveform
-	if opt.Mode == ModeSIS && switching >= 2 {
-		spec, serr := cells.Get(inst.Type)
-		if serr != nil {
-			return wave.Waveform{}, 0, serr
-		}
-		outW, err = simulateSIS(model, inWaves, spec, vdd, load, opt)
-	} else {
-		outW, err = simulateStageWaves(model, inWaves, load, opt)
+	var solveErr error
+	mis := opt.Mode != ModeSIS
+	if mis {
+		outW, solveErr = csm.SimulateStageOut(model, inWaves, load, 0, opt.Horizon, opt.Dt, waves[inst.Output].Stream())
 	}
+	switching, err := checkInputs(inst, model, inWaves, held)
 	if err != nil {
-		return wave.Waveform{}, 0, fmt.Errorf("sta: stage %s: %w", inst.Name, err)
+		return wave.Waveform{}, 0, err
+	}
+	if !mis {
+		if switching >= 2 {
+			spec, serr := cells.Get(inst.Type)
+			if serr != nil {
+				return wave.Waveform{}, 0, serr
+			}
+			outW, solveErr = simulateSIS(model, inWaves, spec, vdd, load, opt)
+		} else {
+			outW, solveErr = simulateStageWaves(model, inWaves, load, opt)
+		}
+	}
+	if solveErr != nil {
+		return wave.Waveform{}, 0, fmt.Errorf("sta: stage %s: %w", inst.Name, solveErr)
 	}
 	return outW, switching, nil
 }
@@ -182,15 +201,16 @@ func BuildReport(vdd float64, waves map[string]wave.Waveform, misInstances []str
 }
 
 // gatherInputs maps instance input nets to the model's input order and
-// counts how many of them actually switch. Pins held by the model must be
-// fed by non-switching nets.
-func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Waveform, horizon float64) ([]wave.Waveform, int, error) {
+// returns the waveforms of the nets on pins the model holds, keyed by
+// pin. It reads only which nets have waveforms, so its inputs may be
+// live.
+func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Waveform) ([]wave.Waveform, map[string]wave.Waveform, error) {
 	spec, err := cells.Get(inst.Type)
 	if err != nil {
-		return nil, 0, fmt.Errorf("sta: instance %s: %w", inst.Name, err)
+		return nil, nil, fmt.Errorf("sta: instance %s: %w", inst.Name, err)
 	}
 	if len(inst.Inputs) != len(spec.Inputs) {
-		return nil, 0, fmt.Errorf("sta: %s has %d input nets, cell %s expects %d",
+		return nil, nil, fmt.Errorf("sta: %s has %d input nets, cell %s expects %d",
 			inst.Name, len(inst.Inputs), inst.Type, len(spec.Inputs))
 	}
 	netOfPin := map[string]string{}
@@ -198,32 +218,55 @@ func gatherInputs(inst Instance, model *csm.Model, waves map[string]wave.Wavefor
 		netOfPin[pin] = inst.Inputs[i]
 	}
 	out := make([]wave.Waveform, len(model.Inputs))
-	switching := 0
 	for i, pin := range model.Inputs {
 		net := netOfPin[pin]
 		w, ok := waves[net]
 		if !ok {
-			return nil, 0, fmt.Errorf("sta: %s input net %q has no waveform", inst.Name, net)
+			return nil, nil, fmt.Errorf("sta: %s input net %q has no waveform", inst.Name, net)
 		}
 		out[i] = w
+	}
+	var held map[string]wave.Waveform
+	for pin := range model.Held {
+		net := netOfPin[pin]
+		w, ok := waves[net]
+		if !ok {
+			return nil, nil, fmt.Errorf("sta: %s held pin %s net %q has no waveform", inst.Name, pin, net)
+		}
+		if held == nil {
+			held = map[string]wave.Waveform{}
+		}
+		held[pin] = w
+	}
+	return out, held, nil
+}
+
+// checkInputs waits until the gathered waveforms are final (replacing
+// live views in in with them), counts the inputs that switch, and checks
+// that every held pin is static at its held level.
+func checkInputs(inst Instance, model *csm.Model, in []wave.Waveform, held map[string]wave.Waveform) (int, error) {
+	switching := 0
+	for i, w := range in {
+		w, err := w.Final()
+		if err != nil {
+			return 0, fmt.Errorf("sta: %s input: %w", inst.Name, err)
+		}
+		in[i] = w
 		if netSwitches(w) {
 			switching++
 		}
 	}
-	// Held (non-modeled) pins must be static at the held level.
-	for pin, lvl := range model.Held {
-		net := netOfPin[pin]
-		w, ok := waves[net]
-		if !ok {
-			return nil, 0, fmt.Errorf("sta: %s held pin %s net %q has no waveform", inst.Name, pin, net)
+	for pin, w := range held {
+		w, err := w.Final()
+		if err != nil {
+			return 0, fmt.Errorf("sta: %s held pin %s: %w", inst.Name, pin, err)
 		}
-		if netSwitches(w) || math.Abs(w.First()-lvl) > 0.05 {
-			return nil, 0, fmt.Errorf("sta: %s pin %s is not modeled by the %s CSM and must stay at %g",
+		if lvl := model.Held[pin]; netSwitches(w) || math.Abs(w.First()-lvl) > 0.05 {
+			return 0, fmt.Errorf("sta: %s pin %s is not modeled by the %s CSM and must stay at %g",
 				inst.Name, pin, model.Kind, lvl)
 		}
 	}
-	_ = horizon
-	return out, switching, nil
+	return switching, nil
 }
 
 // netSwitches reports whether a waveform leaves its initial level by more
@@ -277,7 +320,7 @@ func StageLoad(nl *Netlist, models map[string]*csm.Model, fanouts map[string][][
 // simulateStageWaves runs one implicit stage simulation over the window,
 // recording only the output waveform.
 func simulateStageWaves(model *csm.Model, inputs []wave.Waveform, load csm.Load, opt Options) (wave.Waveform, error) {
-	return csm.SimulateStageOut(model, inputs, load, 0, opt.Horizon, opt.Dt)
+	return csm.SimulateStageOut(model, inputs, load, 0, opt.Horizon, opt.Dt, nil)
 }
 
 // simulateSIS applies the conventional SIS assumption to a stage with

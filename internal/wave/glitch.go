@@ -61,6 +61,7 @@ func MeasureGlitch(w Waveform, base, t0, t1 float64) GlitchMetrics {
 
 // minValue returns the minimum value in [t0, t1] and its sample time.
 func minValue(w Waveform, t0, t1 float64) (min, atTime float64) {
+	w.whole()
 	min = math.Inf(1)
 	atTime = t0
 	consider := func(v, t float64) {

@@ -37,6 +37,7 @@ func (w Waveform) nextCross(level float64, i int) (Crossing, int, bool) {
 // backward) and returns the first crossing of level it meets and the
 // segment after it in the walk. A segment holds at most one crossing.
 func (w Waveform) scanCross(level float64, i, step int) (Crossing, int, bool) {
+	w.whole()
 	for ; i >= 1 && i < len(w.T); i += step {
 		v0, v1 := w.V[i-1], w.V[i]
 		if v0 == v1 {
@@ -200,6 +201,7 @@ func MaxAbsDiff(a, b Waveform, t0, t1 float64, n int) (maxDiff, atTime float64) 
 // Extremum scans [t0, t1] on the waveform's own samples (plus the window
 // edges) and returns the minimum and maximum values in the window.
 func (w Waveform) Extremum(t0, t1 float64) (min, max float64) {
+	w.whole()
 	min = math.Inf(1)
 	max = math.Inf(-1)
 	consider := func(v float64) {
@@ -223,6 +225,7 @@ func (w Waveform) Extremum(t0, t1 float64) (min, max float64) {
 // PeakValue returns the maximum value in [t0, t1] and the sample time at
 // which it occurs (window edges included).
 func (w Waveform) PeakValue(t0, t1 float64) (peak, atTime float64) {
+	w.whole()
 	peak = math.Inf(-1)
 	atTime = t0
 	consider := func(v, t float64) {

@@ -11,6 +11,8 @@ import (
 // b, producing a new waveform. It is the building block for waveform algebra
 // such as sums and differences.
 func Merge(a, b Waveform, fn func(va, vb float64) float64) Waveform {
+	a.whole()
+	b.whole()
 	if a.Empty() && b.Empty() {
 		return Waveform{}
 	}
@@ -53,6 +55,7 @@ func WriteCSV(w io.Writer, names []string, waves []Waveform) error {
 	// Union grid across all waveforms.
 	var grid []float64
 	for _, wf := range waves {
+		wf.whole()
 		grid = append(grid, wf.T...)
 	}
 	sort.Float64s(grid)

@@ -19,9 +19,16 @@ import (
 // increasing sample times in seconds and V the corresponding values (volts
 // for signal waveforms, amperes when used for currents). The two slices
 // always have equal, nonzero length for a valid waveform.
+//
+// A live view of a Stream (Stream.Waveform) stands for a waveform still
+// being recorded: At and Cursor answer from it exactly (waiting for the
+// samples a query needs), and Final returns the finished waveform. Every
+// method that reads the samples as a whole panics on a live view.
 type Waveform struct {
 	T []float64
 	V []float64
+
+	live *Stream // set on a live view: T and V are a published prefix
 }
 
 // New builds a waveform from parallel time/value slices. It returns an error
@@ -84,27 +91,39 @@ func SaturatedRamp(v0, v1, start, tt, end float64) Waveform {
 	return Waveform{T: ts, V: vs}
 }
 
+// whole panics on a live view. Every method that reads the samples as a
+// whole calls it: a live view's T and V are only a published prefix, so
+// such a read would quietly answer for a shorter waveform.
+func (w Waveform) whole() {
+	if w.live != nil {
+		panic("wave: whole-waveform read of a live view; read Final")
+	}
+}
+
 // Len reports the number of samples.
-func (w Waveform) Len() int { return len(w.T) }
+func (w Waveform) Len() int { w.whole(); return len(w.T) }
 
 // Empty reports whether the waveform has no samples.
-func (w Waveform) Empty() bool { return len(w.T) == 0 }
+func (w Waveform) Empty() bool { w.whole(); return len(w.T) == 0 }
 
 // Start returns the first sample time. It panics on an empty waveform.
-func (w Waveform) Start() float64 { return w.T[0] }
+func (w Waveform) Start() float64 { w.whole(); return w.T[0] }
 
 // End returns the last sample time. It panics on an empty waveform.
-func (w Waveform) End() float64 { return w.T[len(w.T)-1] }
+func (w Waveform) End() float64 { w.whole(); return w.T[len(w.T)-1] }
 
 // First returns the first sample value.
-func (w Waveform) First() float64 { return w.V[0] }
+func (w Waveform) First() float64 { w.whole(); return w.V[0] }
 
 // Last returns the last sample value.
-func (w Waveform) Last() float64 { return w.V[len(w.V)-1] }
+func (w Waveform) Last() float64 { w.whole(); return w.V[len(w.V)-1] }
 
 // At evaluates the waveform at time t with linear interpolation, clamping to
 // the first/last value outside the sampled span.
 func (w Waveform) At(t float64) float64 {
+	if w.live != nil && !w.covers(t) {
+		w = w.live.await(t)
+	}
 	n := len(w.T)
 	if n == 0 {
 		return 0
@@ -134,6 +153,9 @@ func (w Waveform) lerp(i int, t float64) float64 {
 // what Waveform.At returns: the walk finds the smallest i with
 // T[i] >= t, the index sort.SearchFloat64s finds, and a time before the
 // remembered segment (a DC solve, a second run) falls back to the search.
+// On a live view it answers as At does, keeping the prefix it last read
+// until a query passes it; the segment it remembers stays valid on the
+// longer prefix and the final waveform.
 type Cursor struct {
 	W Waveform
 	i int // segment of the last lookup; 0 before the first
@@ -141,6 +163,9 @@ type Cursor struct {
 
 // At evaluates the cursor's waveform at t like Waveform.At.
 func (c *Cursor) At(t float64) float64 {
+	if c.W.live != nil && !c.W.covers(t) {
+		c.W = c.W.live.await(t)
+	}
 	w := c.W
 	n := len(w.T)
 	if n == 0 {
@@ -168,6 +193,7 @@ func (c *Cursor) At(t float64) float64 {
 
 // Clone returns a deep copy of the waveform.
 func (w Waveform) Clone() Waveform {
+	w.whole()
 	t := make([]float64, len(w.T))
 	v := make([]float64, len(w.V))
 	copy(t, w.T)
@@ -195,6 +221,9 @@ func (w Waveform) Scaled(k float64) Waveform {
 
 // String renders a short human-readable summary of the waveform.
 func (w Waveform) String() string {
+	if w.live != nil {
+		return "wave{live}"
+	}
 	if w.Empty() {
 		return "wave{}"
 	}
