@@ -40,6 +40,7 @@ import (
 	"mcsm/internal/netlist"
 	"mcsm/internal/nldm"
 	"mcsm/internal/service"
+	"mcsm/internal/spice"
 	"mcsm/internal/sta"
 	"mcsm/internal/sweep"
 	"mcsm/internal/table"
@@ -108,6 +109,25 @@ func TestGoldenC432Report(t *testing.T) {
 	}
 	testutil.Golden(t, filepath.Join(goldenDir, "c432_sta.json"),
 		testutil.MarshalReport(t, "c432", rep))
+
+	// Every stage output shares the analysis's one time grid, read-only:
+	// appends to the outputs copy, and after 552 solves the grid still
+	// holds what NewGrid computes for the window.
+	grid, err := spice.NewGrid(0, horizon, 4e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := rep.Nets[nl.Instances[0].Output].Wave.T
+	for _, inst := range nl.Instances {
+		w := rep.Nets[inst.Output].Wave
+		if &w.T[0] != &shared[0] {
+			t.Fatalf("stage %s records its own times", inst.Name)
+		}
+		_ = append(w.T, -1)
+	}
+	if !slices.EqualFunc(shared, grid.Times(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatal("the analysis's grid no longer holds the window's times")
+	}
 }
 
 // loadC432 parses and technology-maps the c432-class corpus circuit.

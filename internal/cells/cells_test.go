@@ -2,6 +2,7 @@ package cells
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,6 +158,31 @@ func TestGetAndCatalog(t *testing.T) {
 		}
 		if s.Build == nil {
 			t.Errorf("%s has no builder", s.Name)
+		}
+	}
+}
+
+// TestGetMatchesScan: Get answers from its index what a first-match scan
+// of Catalog, then Variants, answers, for every catalog and variant name,
+// down to the builder; and every Get of a name returns the one spec.
+func TestGetMatchesScan(t *testing.T) {
+	all := append(Catalog(), Variants()...)
+	if len(all) != 3*len(Catalog()) {
+		t.Fatalf("%d specs, want each of %d catalog cells and its X2 and X4", len(all), len(Catalog()))
+	}
+	for _, want := range all {
+		got, err := Get(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, wantB := got.Build, want.Build
+		got.Build, want.Build = nil, nil
+		if !reflect.DeepEqual(got, want) || reflect.ValueOf(gotB).Pointer() != reflect.ValueOf(wantB).Pointer() {
+			t.Errorf("Get(%q) = %+v, the scan finds %+v", want.Name, got, want)
+		}
+		again, _ := Get(want.Name)
+		if len(got.Inputs) > 0 && &again.Inputs[0] != &got.Inputs[0] {
+			t.Errorf("Get(%q) rebuilt its spec", want.Name)
 		}
 	}
 }

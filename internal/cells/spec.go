@@ -1,6 +1,9 @@
 package cells
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Spec is the characterization-facing description of a library cell: its
 // pin list, which (at most two) inputs the CSM treats as varying, the
@@ -123,17 +126,22 @@ func Variants() []Spec {
 	return out
 }
 
-// Get returns the catalog spec with the given name.
-func Get(name string) (Spec, error) {
-	for _, s := range Catalog() {
-		if s.Name == name {
-			return s, nil
-		}
+// specs indexes every catalog and variant spec by name, built once.
+var specs = sync.OnceValue(func() map[string]Spec {
+	all := append(Catalog(), Variants()...)
+	idx := make(map[string]Spec, len(all))
+	for _, s := range all {
+		idx[s.Name] = s
 	}
-	for _, s := range Variants() {
-		if s.Name == name {
-			return s, nil
-		}
+	return idx
+})
+
+// Get returns the catalog or variant spec with the given name. Every Get
+// of a name returns the same spec, sharing its slices and its pin map:
+// treat them as read-only (Catalog and Variants return copies to edit).
+func Get(name string) (Spec, error) {
+	if s, ok := specs()[name]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("cells: unknown cell %q", name)
 }

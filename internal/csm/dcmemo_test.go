@@ -119,7 +119,7 @@ func TestStageDCMemoOracle(t *testing.T) {
 						requireSameWave(t, fmt.Sprintf("%s, call %d: VN", what, call), sr.VN, wantVN)
 					}
 					if !adaptive {
-						out, err := SimulateStageOut(m, inputs, load, start, memoStop, memoDt, nil)
+						out, err := SimulateStageOut(m, inputs, load, mustGrid(t, start, memoStop, memoDt), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -151,7 +151,7 @@ func TestStageDCMemoHit(t *testing.T) {
 	}
 	memoStage(t, m, inputs, CapLoad(2e-15), 0, false)
 	memoStage(t, m, inputs, MultiLoad{CapLoad(1e-15)}, 0, true)
-	if _, err := SimulateStageOut(m, inputs, nil, 0, memoStop, memoDt, nil); err != nil {
+	if _, err := SimulateStageOut(m, inputs, nil, mustGrid(t, 0, memoStop, memoDt), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls(); n != 1 {
@@ -247,6 +247,7 @@ func TestStageDCMemoConcurrent(t *testing.T) {
 	for i, in := range cases {
 		want[i], _ = plainStage(t, m, in, load, 0, false)
 	}
+	grid := mustGrid(t, 0, memoStop, memoDt)
 	const workers, solves = 8, 12
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -256,7 +257,7 @@ func TestStageDCMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := 0; s < solves; s++ {
 				i := (w*5 + s*3) % len(cases)
-				out, err := SimulateStageOut(m, cases[i], load, 0, memoStop, memoDt, nil)
+				out, err := SimulateStageOut(m, cases[i], load, grid, nil)
 				if err != nil {
 					errs <- err
 					return

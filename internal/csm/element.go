@@ -398,11 +398,7 @@ type ReceiverCap struct {
 	scale  float64
 	val    float64
 	branch spice.CapBranch
-
-	// The per-step lookup reuses one cursor (Table.At would zero a fresh
-	// one every step) and its coordinate buffer.
-	cur   table.Cursor
-	coord [1]float64
+	cur    table.Cursor1 // the per-step lookup's bracket
 }
 
 // NewReceiverCap creates a receiver-capacitance load of `scale` parallel
@@ -421,10 +417,7 @@ func (r *ReceiverCap) Name() string { return r.name }
 
 // BeginStep freezes the capacitance at the start-of-step input voltage.
 func (r *ReceiverCap) BeginStep(ctx *spice.Context) {
-	pin := r.model.CPin[r.input]
-	r.coord[0] = ctx.Vprev(r.node)
-	pin.Seek(&r.cur, r.coord[:])
-	r.val = r.scale * pin.Value(&r.cur)
+	r.val = r.scale * r.model.CPin[r.input].Value1(&r.cur, ctx.Vprev(r.node))
 }
 
 // Stamp adds the companion model.

@@ -218,14 +218,16 @@ func TestSimulateStageNaNCoordinate(t *testing.T) {
 
 // TestSimulateStageAllocsIndependentOfHorizon: a stage solve allocates a
 // fixed number of times however many steps it takes — doubling the
-// horizon doubles the steps, never the allocation count.
+// horizon doubles the steps, never the allocation count. The solves run
+// on the model's pooled stage benches, so each count is a warm solve's
+// (warmAllocs).
 func TestSimulateStageAllocsIndependentOfHorizon(t *testing.T) {
 	m := fixtureModel(t, "NOR2", KindMCSM)
 	tech, tm := cells.Default130(), cells.DefaultHistoryTiming()
 	wa, wb := cells.NOR2HistoryInputs(tech.Vdd, 2, tm)
 	inputs := []wave.Waveform{wa, wb}
 	allocs := func(stop float64) float64 {
-		return testing.AllocsPerRun(2, func() {
+		return warmAllocs(func() {
 			if _, err := SimulateStage(m, inputs, CapLoad(2e-15), 0, stop, 1e-12); err != nil {
 				t.Fatal(err)
 			}

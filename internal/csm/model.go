@@ -93,7 +93,8 @@ type Model struct {
 	CmN  []*table.Table // coupling input↔internal node, one per modeled input
 	CmNO *table.Table   // coupling output↔internal node
 
-	dc *dcMemo // stage DC operating points (dcmemo.go), guarded by stageDC.mu
+	dc      *dcMemo    // stage DC operating points (dcmemo.go), guarded by stageDC.mu
+	benches *benchPool // stage benches (stage.go), guarded by benchMu
 }
 
 // HasInternalMiller reports whether the model carries the internal-node

@@ -63,7 +63,7 @@ func TestStageRecordsMatchFullRun(t *testing.T) {
 	}
 	requireSameWave(t, "SimulateStage Out", sr.Out, refOut)
 	requireSameWave(t, "SimulateStage VN", sr.VN, refVN)
-	outOnly, err := SimulateStageOut(m, inputs, load, 0, tm.TEnd, dt, nil)
+	outOnly, err := SimulateStageOut(m, inputs, load, mustGrid(t, 0, tm.TEnd, dt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

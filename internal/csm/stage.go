@@ -2,6 +2,7 @@ package csm
 
 import (
 	"fmt"
+	"sync"
 
 	"mcsm/internal/spice"
 	"mcsm/internal/wave"
@@ -83,7 +84,9 @@ type StageResult struct {
 	Out wave.Waveform // output voltage
 	VN  wave.Waveform // internal node voltage (KindMCSM; empty otherwise)
 	// Res is the solver record: every unknown for an adaptive run, the
-	// output and VN only for a fixed-step one.
+	// output and VN only for a fixed-step one. Read it by index (Wave,
+	// AuxWave, At): the stage circuit it names nodes by is reused by the
+	// model's next solve.
 	Res *spice.Result
 }
 
@@ -93,50 +96,121 @@ type StageResult struct {
 // the step count by an order of magnitude at matched accuracy (EXP-T1).
 // Its initial state is SimulateStage's.
 func SimulateStageAdaptive(m *Model, inputs []wave.Waveform, load Load, start, stop float64, opt spice.AdaptiveOptions) (*StageResult, error) {
-	c, cell, out, err := buildStage(m, inputs, load)
+	b, err := m.bench(inputs, load)
 	if err != nil {
 		return nil, err
 	}
-	eng := spice.NewEngine(c, spice.DefaultOptions())
-	x0, err := stageX0(eng, m, inputs, load, start)
+	defer b.release()
+	x0, err := stageX0(b.eng, m, inputs, load, start)
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.RunAdaptiveFrom(x0, start, stop, opt)
+	res, err := b.eng.RunAdaptiveFrom(x0, start, stop, opt)
 	if err != nil {
 		return nil, err
 	}
-	sr := &StageResult{Out: res.Wave(out), Res: res}
+	sr := &StageResult{Out: res.Wave(b.out), Res: res}
 	if m.Kind == KindMCSM {
-		sr.VN = res.AuxWave(cell.VNIndex())
+		sr.VN = res.AuxWave(b.cell.VNIndex())
 	}
 	return sr, nil
 }
 
-// buildStage wires the shared stage circuit: ideal sources on the inputs,
-// the CSM cell, and the load. Each source reads its waveform through a
-// wave.Cursor, which returns Waveform.At's values without a binary search
-// per solve.
-func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *Cell, spice.Node, error) {
+// A stageBench is the circuit and engine of a stage solve: ideal sources
+// on the inputs, the CSM cell, and the load, which is the part of the
+// circuit after mark. A model keeps its benches in a sync.Pool between
+// solves, so a solve reuses the engine's systems, LU workspace and Newton
+// vectors and the cell's table cursors instead of building them, and
+// concurrent solves of one model each hold their own bench. Every solve
+// rebinds the inputs and the load and starts as a new bench would: the
+// run resets every history, the DC point or the memo sets every unknown,
+// and each lookup re-seeks its cursors, whose bracket hints are exact
+// whatever point they were left at (table.Seek, wave.Cursor).
+type stageBench struct {
+	ckt  *spice.Circuit
+	src  []*wave.Cursor // the input sources' stimuli
+	cell *Cell
+	out  spice.Node
+	mark spice.Mark // the circuit without its load
+	eng  *spice.Engine
+	pool *benchPool // where release returns the bench
+}
+
+// benchPool is a model's pool of stage benches. owner tells a by-value
+// copy of the model, which shares the pointer, that the pool is not its.
+type benchPool struct {
+	owner *Model
+	sync.Pool
+}
+
+// benchMu guards every Model.benches.
+var benchMu sync.Mutex
+
+// bench returns one of m's stage benches, bound to inputs and load.
+// Release it when the solve is done.
+func (m *Model) bench(inputs []wave.Waveform, load Load) (*stageBench, error) {
 	if len(inputs) != len(m.Inputs) {
-		return nil, nil, 0, fmt.Errorf("csm: %d input waveforms for %d-input model", len(inputs), len(m.Inputs))
+		return nil, fmt.Errorf("csm: %d input waveforms for %d-input model", len(inputs), len(m.Inputs))
 	}
+	benchMu.Lock()
+	if m.benches == nil || m.benches.owner != m {
+		m.benches = &benchPool{owner: m}
+	}
+	pool := m.benches
+	benchMu.Unlock()
+	b, _ := pool.Get().(*stageBench)
+	if b == nil {
+		var err error
+		if b, err = newStageBench(m); err != nil {
+			return nil, err
+		}
+	}
+	b.pool = pool
+	b.bind(inputs, load)
+	return b, nil
+}
+
+// bind points the bench's sources at inputs and attaches load.
+func (b *stageBench) bind(inputs []wave.Waveform, load Load) {
+	for i, w := range inputs {
+		*b.src[i] = wave.Cursor{W: w}
+	}
+	if load != nil {
+		load.Attach(b.ckt, b.out)
+	}
+	b.eng.Rebind()
+}
+
+// release drops the solve's inputs and load, so a pooled bench holds no
+// waveform, and returns the bench to its pool.
+func (b *stageBench) release() {
+	for _, src := range b.src {
+		*src = wave.Cursor{}
+	}
+	b.ckt.Truncate(b.mark)
+	b.pool.Put(b)
+}
+
+// newStageBench wires a stage circuit for m without a load.
+func newStageBench(m *Model) (*stageBench, error) {
 	c := spice.NewCircuit()
-	inNodes := make([]spice.Node, len(inputs))
-	for i := range inputs {
-		inNodes[i] = c.Node("in_" + m.Inputs[i])
-		c.AddVSource("V"+m.Inputs[i], inNodes[i], spice.Ground, &wave.Cursor{W: inputs[i]})
+	b := &stageBench{ckt: c, src: make([]*wave.Cursor, len(m.Inputs))}
+	inNodes := make([]spice.Node, len(m.Inputs))
+	for i, pin := range m.Inputs {
+		inNodes[i] = c.Node("in_" + pin)
+		b.src[i] = &wave.Cursor{}
+		c.AddVSource("V"+pin, inNodes[i], spice.Ground, b.src[i])
 	}
-	out := c.Node("out")
-	cell, err := NewCell("CSM", m, inNodes, out, false)
+	b.out = c.Node("out")
+	cell, err := NewCell("CSM", m, inNodes, b.out, false)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	c.Add(cell)
-	if load != nil {
-		load.Attach(c, out)
-	}
-	return c, cell, out, nil
+	b.cell = cell
+	b.mark = c.Mark()
+	b.eng = spice.NewEngine(c, spice.DefaultOptions())
+	return b, nil
 }
 
 // SimulateStage computes the output waveform of a characterized cell driven
@@ -145,54 +219,61 @@ func buildStage(m *Model, inputs []wave.Waveform, load Load) (*spice.Circuit, *C
 // DC solve at `start`, so input waveforms should begin in a settled state;
 // with a capacitive load it is read from the model's memo of earlier
 // solves (dcmemo.go), bit for bit the same operating point. The run
-// records the output and, for KindMCSM, the internal node.
+// records the output and, for KindMCSM, the internal node, on a time grid
+// of its own.
 func SimulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64) (*StageResult, error) {
-	return simulateStage(m, inputs, load, start, stop, dt, m.Kind == KindMCSM, nil)
+	g, err := spice.NewGrid(start, stop, dt)
+	if err != nil {
+		return nil, err
+	}
+	return simulateStage(m, inputs, load, g, m.Kind == KindMCSM, nil)
 }
 
 // SimulateStageOut is SimulateStage for callers that need only the output
-// waveform, such as static timing: the run records the output node alone.
-// With a non-nil out it publishes the output into out as it records it
-// (every spice.PublishEvery steps); the caller closes out. Inputs may be
-// live views of other stages' streams: the solve reads each input only
-// at its own step times (through the sources' cursors) and at the start
-// time (the DC memo key), and both wait for the samples they need.
-func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, out *wave.Stream) (wave.Waveform, error) {
-	sr, err := simulateStage(m, inputs, load, start, stop, dt, false, out)
+// waveform, such as static timing: the run records the output node alone,
+// on the caller's grid, whose times the output's T shares. With a non-nil
+// out it publishes the output into out as it records it (every
+// spice.PublishEvery steps); the caller closes out. Inputs may be live
+// views of other stages' streams: the solve reads each input only at its
+// own step times (through the sources' cursors) and at the start time
+// (the DC memo key), and both wait for the samples they need.
+func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, g *spice.Grid, out *wave.Stream) (wave.Waveform, error) {
+	sr, err := simulateStage(m, inputs, load, g, false, out)
 	if err != nil {
 		return wave.Waveform{}, err
 	}
 	return sr.Out, nil
 }
 
-// simulateStage runs the fixed-step stage simulation, recording the
-// output and, when withVN is set, the internal node, and publishing the
-// output into a non-nil stream.
-func simulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt float64, withVN bool, stream *wave.Stream) (*StageResult, error) {
-	c, cell, out, err := buildStage(m, inputs, load)
+// simulateStage runs the fixed-step stage simulation on grid g, recording
+// the output and, when withVN is set, the internal node, and publishing
+// the output into a non-nil stream.
+func simulateStage(m *Model, inputs []wave.Waveform, load Load, g *spice.Grid, withVN bool, stream *wave.Stream) (*StageResult, error) {
+	b, err := m.bench(inputs, load)
 	if err != nil {
 		return nil, err
 	}
-	eng := spice.NewEngine(c, spice.DefaultOptions())
-	keep := []int{int(out) - 1}
+	defer b.release()
+	keep := []int{int(b.out) - 1}
 	if withVN {
-		keep = append(keep, cell.VNIndex())
+		keep = append(keep, b.cell.VNIndex())
 	}
-	x0, err := stageX0(eng, m, inputs, load, start)
+	x0, err := stageX0(b.eng, m, inputs, load, g.Start())
 	if err != nil {
 		return nil, err
 	}
 	var publish func(*spice.Result)
 	if stream != nil {
+		out := b.out
 		publish = func(r *spice.Result) { stream.Publish(r.Wave(out)) }
 	}
-	res, err := eng.RunFrom(x0, start, stop, dt, publish, keep...)
+	res, err := b.eng.RunFrom(x0, g, publish, keep...)
 	if err != nil {
 		return nil, err
 	}
-	sr := &StageResult{Out: res.Wave(out), Res: res}
+	sr := &StageResult{Out: res.Wave(b.out), Res: res}
 	if withVN {
-		sr.VN = res.AuxWave(cell.VNIndex())
+		sr.VN = res.AuxWave(b.cell.VNIndex())
 	}
 	return sr, nil
 }

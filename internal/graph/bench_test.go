@@ -11,7 +11,8 @@ import (
 // BenchmarkPropagateC17 is the untraced propagation path: c17 with every
 // stage dirty on two workers, so each op schedules six MIS stage solves
 // (the models' DC memos are warm after the first). CI bounds its
-// allocs/op and B/op, which do not depend on the host.
+// allocs/op and B/op at -cpu 2, where they do not depend on the host:
+// each P keeps its own pooled stage benches, so more Ps build more.
 func BenchmarkPropagateC17(b *testing.B) {
 	nl, primary, opt := testutil.C17Fixture(b)
 	models := testutil.FastModels(b)

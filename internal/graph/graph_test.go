@@ -200,35 +200,48 @@ func replay(t *testing.T, g *graph.TimingGraph, seed int64, batches int, cold bo
 	return rounds
 }
 
-// runInvariant replays each seeded edit sequence on a fresh propagated
-// graph per worker count, one subtest per count. The serial replay of a
-// seed must match a cold analysis after every round; every other replay
-// must leave the serial replay's stats (but for the schedule's streamed
-// count), delta bytes and retained state. A subtest builds the serial
-// replays it needs when no earlier subtest has, so each runs on its own.
+// replayAll replays every seeded edit sequence in turn on one propagated
+// graph built at the given width, each sequence continuing from the
+// state the one before it left, and returns each sequence's rounds. The
+// cold build and propagation, identical for every sequence, runs once.
+func replayAll(t *testing.T, seeds []int64, batches, workers int, cold bool, build func(t *testing.T, workers int) *graph.TimingGraph) [][]invariantRound {
+	t.Helper()
+	g := build(t, workers)
+	out := make([][]invariantRound, len(seeds))
+	for i, seed := range seeds {
+		out[i] = replay(t, g, seed, batches, cold)
+	}
+	return out
+}
+
+// runInvariant replays the seeded edit sequences on a propagated graph
+// per worker count, one subtest per count. The serial replay must match
+// a cold analysis after every round; every other replay must leave the
+// serial replay's stats (but for the schedule's streamed count), delta
+// bytes and retained state. A subtest builds the serial replay when no
+// earlier subtest has, so each runs on its own.
 func runInvariant(t *testing.T, seeds []int64, batches int, build func(t *testing.T, workers int) *graph.TimingGraph) {
-	serial := map[int64][]invariantRound{}
+	var serial [][]invariantRound
 	for _, workers := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for _, seed := range seeds {
-				want, ok := serial[seed]
-				if !ok {
-					want = replay(t, build(t, 1), seed, batches, true)
-					serial[seed] = want
-				}
-				if workers == 1 {
-					continue
-				}
-				for batch, got := range replay(t, build(t, workers), seed, batches, false) {
-					label := fmt.Sprintf("seed %d batch %d", seed, batch)
+			if serial == nil {
+				serial = replayAll(t, seeds, batches, 1, true, build)
+			}
+			if workers == 1 {
+				return
+			}
+			for i, rounds := range replayAll(t, seeds, batches, workers, false, build) {
+				for batch, got := range rounds {
+					want := serial[i][batch]
+					label := fmt.Sprintf("seed %d batch %d", seeds[i], batch)
 					got.stats.StagesStreamed = 0
-					if fmt.Sprint(got.stats) != fmt.Sprint(want[batch].stats) {
-						t.Errorf("%s: stats %+v, serial %+v", label, got.stats, want[batch].stats)
+					if fmt.Sprint(got.stats) != fmt.Sprint(want.stats) {
+						t.Errorf("%s: stats %+v, serial %+v", label, got.stats, want.stats)
 					}
-					if !bytes.Equal(got.delta, want[batch].delta) {
+					if !bytes.Equal(got.delta, want.delta) {
 						t.Errorf("%s: delta bytes differ from the serial schedule's", label)
 					}
-					testutil.RequireIdenticalReports(t, label, got.rep, want[batch].rep)
+					testutil.RequireIdenticalReports(t, label, got.rep, want.rep)
 				}
 			}
 		})

@@ -66,7 +66,7 @@ func (e *Engine) RunAdaptiveFrom(x0 []float64, start, stop float64, opt Adaptive
 		return nil, fmt.Errorf("spice: initial state has %d unknowns, want %d", len(x0), n)
 	}
 
-	res := newResult(e.ckt, n, 0, nil)
+	res := newResult(e.ckt, n, 0, nil, nil)
 	x := make([]float64, n)
 	xprev := make([]float64, n)
 	copy(x, x0)

@@ -79,6 +79,25 @@ func (c *Circuit) NumNodes() int { return len(c.names) }
 // Elements returns the elements in insertion order.
 func (c *Circuit) Elements() []Element { return c.elems }
 
+// Mark is a circuit's size at one point of its construction.
+type Mark struct{ nodes, elems int }
+
+// Mark returns the circuit's current size.
+func (c *Circuit) Mark() Mark { return Mark{len(c.names), len(c.elems)} }
+
+// Truncate removes every node and element added after m, keeping the
+// storage for the next ones: a circuit whose load changes between runs
+// drops the old load and attaches the new one (then Engine.Rebind).
+func (c *Circuit) Truncate(m Mark) {
+	for _, name := range c.names[m.nodes:] {
+		delete(c.byName, name)
+	}
+	clear(c.names[m.nodes:])
+	c.names = c.names[:m.nodes]
+	clear(c.elems[m.elems:])
+	c.elems = c.elems[:m.elems]
+}
+
 // Add registers a custom element.
 func (c *Circuit) Add(e Element) { c.elems = append(c.elems, e) }
 

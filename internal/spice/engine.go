@@ -75,14 +75,32 @@ type Engine struct {
 	// Chord-Newton (Options.JacobianLag) state, reset per newton call.
 	chordAge int
 	fPrev    float64
+
+	// The fixed-step loop's state and step vectors, reset per run.
+	ctxRun         Context
+	xRun, xPrevRun []float64
 }
 
 // NewEngine prepares a circuit for analysis, assigning auxiliary unknown
-// indices. The circuit must not gain elements afterwards.
+// indices. The circuit must not gain elements afterwards, unless Rebind
+// follows.
 func NewEngine(c *Circuit, opt Options) *Engine {
-	e := &Engine{ckt: c, opt: opt, nNodes: c.NumNodes() - 1}
+	e := &Engine{ckt: c, opt: opt}
+	e.Rebind()
+	return e
+}
+
+// Rebind re-reads the engine's circuit after elements were removed
+// (Circuit.Truncate) or added: it assigns auxiliary unknown indices and
+// collects the steppers anew, and it keeps the workspace unless the
+// unknown count changed. An engine that is rebound to each new load of
+// one circuit solves as a new engine would, without allocating one.
+func (e *Engine) Rebind() {
+	e.nNodes = e.ckt.NumNodes() - 1
+	clear(e.steppers)
+	e.steppers = e.steppers[:0]
 	base := e.nNodes
-	for _, el := range c.Elements() {
+	for _, el := range e.ckt.Elements() {
 		if au, ok := el.(AuxUser); ok {
 			au.SetAuxBase(base)
 			base += au.AuxCount()
@@ -93,13 +111,17 @@ func NewEngine(c *Circuit, opt Options) *Engine {
 	}
 	e.nAux = base - e.nNodes
 	n := e.Unknowns()
+	if e.sysA != nil && e.sysA.N == n {
+		return
+	}
 	e.sysA = NewSystem(n)
 	e.sysB = NewSystem(n)
 	e.solver = NewSolveWorkspace(n)
 	e.x0 = make([]float64, n)
 	e.dir = make([]float64, n)
 	e.xChord = make([]float64, n)
-	return e
+	e.xRun = make([]float64, n)
+	e.xPrevRun = make([]float64, n)
 }
 
 // Unknowns returns the total unknown count (node voltages + auxiliaries).
@@ -376,30 +398,17 @@ func (e *Engine) Run(start, stop, dt float64, keep ...int) (*Result, error) {
 // the record so far, and the run ends there when it returns true. Step k
 // depends only on the steps before it, so the record of a run that stops
 // is a bit-identical prefix of the full run's; a nil done never stops.
+// The run records its own times.
 func (e *Engine) RunUntil(start, stop, dt float64, done func(*Result) bool, keep ...int) (*Result, error) {
+	g, err := window(start, stop, dt)
+	if err != nil {
+		return nil, err
+	}
 	x0, err := e.DCAt(start)
 	if err != nil {
 		return nil, err
 	}
-	return e.runFrom(x0, start, stop, dt, done, nil, keep)
-}
-
-// FixedSteps returns the step count of a fixed-step run over [start, stop]
-// at dt. It fails on an empty window, a step that is not positive and
-// finite, and a count that is not finite or exceeds MaxSteps.
-func FixedSteps(start, stop, dt float64) (int, error) {
-	if !(dt > 0) || math.IsInf(dt, 1) || !(stop > start) {
-		return 0, fmt.Errorf("spice: invalid transient window [%g,%g] dt=%g", start, stop, dt)
-	}
-	steps := math.Ceil((stop - start) / dt)
-	if !(steps <= MaxSteps) {
-		return 0, fmt.Errorf("spice: transient window [%g,%g] at dt=%g needs %g steps, more than %d",
-			start, stop, dt, steps, MaxSteps)
-	}
-	if steps < 1 {
-		return 0, fmt.Errorf("spice: transient window [%g,%g] at dt=%g has no step", start, stop, dt)
-	}
-	return int(steps), nil
+	return e.runFrom(x0, g, done, nil, keep)
 }
 
 // PublishEvery is the step count between the record prefixes RunFrom
@@ -407,24 +416,22 @@ func FixedSteps(start, stop, dt float64) (int, error) {
 // steps, and the run pays one publication per this many.
 const PublishEvery = 16
 
-// RunFrom performs a transient analysis starting from the supplied unknown
-// vector (typically a previous DC or transient solution). keep is as for
-// Run. A non-nil publish sees the record after every PublishEvery
+// RunFrom performs a transient analysis on the grid's window, starting
+// from the supplied unknown vector (typically a previous DC or transient
+// solution). keep is as for Run. The record's times are views of the
+// grid's. A non-nil publish sees the record after every PublishEvery
 // recorded steps while the run goes on, so another goroutine can read
 // the samples recorded so far: the record is reserved for the whole
 // window before the first step and never moves, and a recorded sample
 // never changes, so a published prefix stays valid.
-func (e *Engine) RunFrom(x0 []float64, start, stop, dt float64, publish func(*Result), keep ...int) (*Result, error) {
-	return e.runFrom(x0, start, stop, dt, nil, publish, keep)
+func (e *Engine) RunFrom(x0 []float64, g *Grid, publish func(*Result), keep ...int) (*Result, error) {
+	return e.runFrom(x0, g, nil, publish, keep)
 }
 
 // runFrom is the one fixed-step transient loop, behind RunFrom and
-// RunUntil; done is as for RunUntil and publish as for RunFrom.
-func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Result) bool, publish func(*Result), keep []int) (*Result, error) {
-	nSteps, err := FixedSteps(start, stop, dt)
-	if err != nil {
-		return nil, err
-	}
+// RunUntil; done is as for RunUntil and publish as for RunFrom. A grid
+// without times (window) makes the record keep its own.
+func (e *Engine) runFrom(x0 []float64, g *Grid, done func(*Result) bool, publish func(*Result), keep []int) (*Result, error) {
 	n := e.Unknowns()
 	if len(x0) != n {
 		return nil, fmt.Errorf("spice: initial state has %d unknowns, want %d", len(x0), n)
@@ -435,17 +442,19 @@ func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Resul
 	// A run with a stop check usually ends well before its horizon (an
 	// NLDM table point fills about a seventh of it), so it reserves as an
 	// adaptive run does and lets the record double.
-	reserve := nSteps + 1
+	reserve := g.steps + 1
 	if done != nil {
 		reserve = min(reserve, unknownSteps)
 	}
-	res := newResult(e.ckt, n, reserve, keep)
+	res := newResult(e.ckt, n, reserve, keep, g.t)
 
-	x := make([]float64, n)
-	xprev := make([]float64, n)
+	// The loop's state lives on the engine, so a run allocates only its
+	// record.
+	x, xprev := e.xRun, e.xPrevRun
 	copy(x, x0)
 	copy(xprev, x0)
-	ctx := &Context{Mode: ModeTransient, Method: e.opt.Method, SrcScale: 1, X: x, Xprev: xprev}
+	ctx := &e.ctxRun
+	*ctx = Context{Mode: ModeTransient, Method: e.opt.Method, SrcScale: 1, X: x, Xprev: xprev}
 
 	// Reset all capacitor histories for a fresh run.
 	for _, el := range e.ckt.Elements() {
@@ -454,20 +463,13 @@ func (e *Engine) runFrom(x0 []float64, start, stop, dt float64, done func(*Resul
 		}
 	}
 
-	res.record(start, x0)
-	for k := 1; k <= nSteps; k++ {
-		tEnd := start + float64(k)*dt
-		if tEnd > stop {
-			tEnd = stop
-		}
-		ctx.Time = tEnd
-		ctx.Dt = tEnd - (start + float64(k-1)*dt)
-		// Guard against a floating-point sliver of a final step: a Dt of
-		// ~1e-24 s turns capacitor companions into ~1e9 S conductances and
-		// destroys the system conditioning.
-		if ctx.Dt <= dt*1e-6 {
+	res.record(g.start, x0)
+	for k := 1; k <= g.steps; k++ {
+		tEnd, h, ok := g.step(k)
+		if !ok {
 			break
 		}
+		ctx.Time, ctx.Dt = tEnd, h
 		// First step after DC uses backward Euler to avoid trapezoidal
 		// start-up oscillation from inconsistent initial cap currents.
 		if k == 1 {

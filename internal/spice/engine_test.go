@@ -123,7 +123,7 @@ func TestISourceIntoCap(t *testing.T) {
 	// Start from a zero initial condition (an uncharged capacitor); the DC
 	// solution of this circuit is unbounded by construction.
 	x0 := make([]float64, e.Unknowns())
-	res, err := e.RunFrom(x0, 0, 1e-9, 1e-12, nil)
+	res, err := e.RunFrom(x0, mustGrid(t, 0, 1e-9, 1e-12), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := e.Run(0, 1e-9, 0); err == nil {
 		t.Error("zero dt accepted")
 	}
-	if _, err := e.RunFrom([]float64{1, 2, 3}, 0, 1e-9, 1e-12, nil); err == nil {
+	if _, err := e.RunFrom([]float64{1, 2, 3}, mustGrid(t, 0, 1e-9, 1e-12), nil); err == nil {
 		t.Error("wrong-size initial state accepted")
 	}
 }
@@ -290,11 +290,11 @@ func TestResultReservation(t *testing.T) {
 		}
 	}
 	for _, steps := range []int{-1, 0, MaxSteps + 1} {
-		if r := newResult(c, 2, steps, nil); cap(r.Times) != unknownSteps {
+		if r := newResult(c, 2, steps, nil, nil); cap(r.Times) != unknownSteps {
 			t.Errorf("newResult(steps=%d) reserved %d slots, want %d", steps, cap(r.Times), unknownSteps)
 		}
 	}
-	r := newResult(c, 2, 1, nil)
+	r := newResult(c, 2, 1, nil, nil)
 	for k := 0; k < 3; k++ {
 		r.record(float64(k), []float64{float64(k), -float64(k)})
 	}
@@ -302,5 +302,57 @@ func TestResultReservation(t *testing.T) {
 		if r.At(k, 0) != float64(k) || r.At(k, 1) != -float64(k) {
 			t.Errorf("step %d = %v, %v after growing past the reservation", k, r.At(k, 0), r.At(k, 1))
 		}
+	}
+}
+
+// TestRebindMatchesNewEngine: an engine rebound after its circuit's load
+// was dropped (Truncate) and replaced — by a capacitor, by an RC load that
+// adds a node and so moves every auxiliary unknown, and by a capacitor
+// again — records what a new engine on the same circuit records, bit for
+// bit and unknown for unknown.
+func TestRebindMatchesNewEngine(t *testing.T) {
+	np, pp := device.N130(), device.P130()
+	c := NewCircuit()
+	vdd, in, out := c.Node("vdd"), c.Node("in"), c.Node("out")
+	c.AddVSource("VDD", vdd, Ground, DC(1.2))
+	c.AddVSource("VIN", in, Ground, wave.SaturatedRamp(0, 1.2, 0.3e-9, 80e-12, 2e-9))
+	c.AddMOS("MN", out, in, Ground, Ground, &np, 0.2e-6)
+	c.AddMOS("MP", out, in, vdd, vdd, &pp, 0.4e-6)
+	mark := c.Mark()
+	e := NewEngine(c, DefaultOptions())
+	loads := []func(){
+		func() { c.AddCapacitor("CL", out, Ground, 5e-15) },
+		func() {
+			far := c.Node("far")
+			c.AddResistor("RL", out, far, 500)
+			c.AddCapacitor("CF", far, Ground, 8e-15)
+		},
+		func() { c.AddCapacitor("CL", out, Ground, 2e-15) },
+	}
+	for i, attach := range loads {
+		c.Truncate(mark)
+		if c.NumNodes() != 4 || len(c.Elements()) != 4 {
+			t.Fatalf("load %d: truncated circuit has %d nodes and %d elements", i, c.NumNodes(), len(c.Elements()))
+		}
+		attach()
+		e.Rebind()
+		got, err := e.Run(0, 2e-9, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewEngine(c, DefaultOptions())
+		want, err := fresh.Run(0, 2e-9, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, fresh.Unknowns())
+		for k := range all {
+			all[k] = k
+		}
+		if e.Unknowns() != fresh.Unknowns() || got.Steps() != want.Steps() {
+			t.Fatalf("load %d: rebound engine has %d unknowns and %d steps, a new one %d and %d",
+				i, e.Unknowns(), got.Steps(), fresh.Unknowns(), want.Steps())
+		}
+		sameRecordPrefix(t, got, want, all)
 	}
 }

@@ -36,8 +36,8 @@ func TestRunStepBound(t *testing.T) {
 		if _, err := e.Run(0, 4e-9, dt); err == nil {
 			t.Fatalf("Run(0, 4n, %g) accepted", dt)
 		}
-		if _, err := e.RunFrom(make([]float64, e.Unknowns()), 0, 4e-9, dt, nil); err == nil {
-			t.Fatalf("RunFrom(0, 4n, %g) accepted", dt)
+		if _, err := NewGrid(0, 4e-9, dt); err == nil {
+			t.Fatalf("NewGrid(0, 4n, %g) accepted", dt)
 		}
 	}
 }
@@ -194,7 +194,7 @@ func TestRunFromPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RunFrom(x0, 0, stop, dt, nil, oi)
+	want, err := ref.RunFrom(x0, mustGrid(t, 0, stop, dt), nil, oi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRunFromPublish(t *testing.T) {
 	}()
 	var lens []int
 	var first *float64
-	res, err := e.RunFrom(x0, 0, stop, dt, func(r *Result) {
+	res, err := e.RunFrom(x0, mustGrid(t, 0, stop, dt), func(r *Result) {
 		if first == nil {
 			first = &r.Times[0]
 		} else if first != &r.Times[0] {

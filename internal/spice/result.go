@@ -11,15 +11,19 @@ import (
 // unknowns (every node voltage and auxiliary unknown, unless the run was
 // asked to keep only some) at every accepted time point.
 type Result struct {
-	ckt   *Circuit
+	ckt *Circuit
+	// Times holds the recorded time points. On a run over a Grid it is a
+	// view of the grid's times, shared and read-only.
 	Times []float64
 	// cols[i] holds unknown i at every recorded time point; it is nil
 	// when the run did not record unknown i.
 	cols [][]float64
-	keep []int // the recorded unknowns, in record order
+	keep []int     // the recorded unknowns, in record order
+	grid []float64 // the times Times views, or nil when it owns them
+	room int       // time points the columns have room for
 }
 
-// MaxSteps bounds the time points of one fixed-step run: RunFrom rejects
+// MaxSteps bounds the time points of one fixed-step run: FixedSteps rejects
 // a window/step pair that needs more, so a mistaken or hostile dt fails
 // fast instead of recording for hours. Every fixed-step run in the
 // repository stays far below it (a 4 ns window at 1 ps is 4,000 steps).
@@ -32,8 +36,10 @@ const unknownSteps = 64
 // newResult returns a record of the keep unknowns (all n when keep is
 // empty) with room reserved for steps time points, so a run that records
 // at most that many allocates nothing more. Pass 0 when the count is
-// unknown (adaptive stepping); the record then doubles as it fills.
-func newResult(c *Circuit, n, steps int, keep []int) *Result {
+// unknown (adaptive stepping); the record then doubles as it fills. With
+// a non-nil grid the record's times are views of grid, which holds at
+// most steps times, and only the columns are reserved.
+func newResult(c *Circuit, n, steps int, keep []int, grid []float64) *Result {
 	if steps <= 0 || steps > MaxSteps {
 		steps = unknownSteps
 	}
@@ -43,16 +49,19 @@ func newResult(c *Circuit, n, steps int, keep []int) *Result {
 			keep[i] = i
 		}
 	}
-	r := &Result{ckt: c, cols: make([][]float64, n), keep: keep}
+	r := &Result{ckt: c, cols: make([][]float64, n), keep: keep, grid: grid}
 	r.reserve(steps)
 	return r
 }
 
 // reserve moves the record into storage for steps time points: one slice
-// for the times and one shared by the kept columns, each column capped
-// at its own share.
+// for the times, unless they are a grid's, and one shared by the kept
+// columns, each column capped at its own share.
 func (r *Result) reserve(steps int) {
-	r.Times = append(make([]float64, 0, steps), r.Times...)
+	if r.grid == nil {
+		r.Times = append(make([]float64, 0, steps), r.Times...)
+	}
+	r.room = steps
 	backing := make([]float64, len(r.keep)*steps)
 	for k, i := range r.keep {
 		r.cols[i] = append(backing[k*steps:k*steps:(k+1)*steps], r.cols[i]...)
@@ -69,13 +78,19 @@ func checkKeep(keep []int, n int) error {
 	return nil
 }
 
-// record appends the kept entries of x at time t. Every column has the
-// times' capacity, so only reserve ever allocates.
+// record appends the kept entries of x at time t, which on a grid is the
+// grid's next time. Every column has room for the same count, so only
+// reserve ever allocates.
 func (r *Result) record(t float64, x []float64) {
-	if len(r.Times) == cap(r.Times) {
-		r.reserve(2 * cap(r.Times))
+	k := len(r.Times)
+	if k == r.room {
+		r.reserve(2 * r.room)
 	}
-	r.Times = append(r.Times, t)
+	if r.grid != nil {
+		r.Times = r.grid[: k+1 : k+1]
+	} else {
+		r.Times = append(r.Times, t)
+	}
 	for _, i := range r.keep {
 		r.cols[i] = append(r.cols[i], x[i])
 	}

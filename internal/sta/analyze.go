@@ -27,6 +27,10 @@ type Options struct {
 	Mode    Mode
 	Dt      float64 // stage integration step (default 1 ps)
 	Horizon float64 // simulation window end (default: last input end + 2 ns)
+	// Grid is the window's time axis, [0, Horizon] at Dt, which every
+	// fixed-step stage solve of the analysis records on and every stage
+	// output shares. ResolveOptions builds it; callers leave it nil.
+	Grid *spice.Grid
 }
 
 // NetResult records the timing view of one net.
@@ -99,8 +103,17 @@ func Setup(models map[string]*csm.Model, primary map[string]wave.Waveform, opt O
 
 // ResolveOptions fills the defaulted analysis options (Dt, Horizon derived
 // from the primary stimuli) without requiring a model set — shared by
-// Setup and by delay backends that carry their own supply voltage.
+// Setup and by delay backends that carry their own supply voltage. It
+// builds the window's grid once for the whole analysis; a window no grid
+// can cover leaves Grid nil, and the stage solves report it.
 func ResolveOptions(primary map[string]wave.Waveform, opt Options) Options {
+	opt = resolveWindow(primary, opt)
+	opt.Grid, _ = spice.NewGrid(0, opt.Horizon, opt.Dt)
+	return opt
+}
+
+// resolveWindow fills the defaulted Dt and Horizon.
+func resolveWindow(primary map[string]wave.Waveform, opt Options) Options {
 	if opt.Dt <= 0 {
 		opt.Dt = 1e-12
 	}
@@ -122,9 +135,18 @@ func ResolveOptions(primary map[string]wave.Waveform, opt Options) Options {
 // before characterizing models, so a request that asks for billions of
 // steps fails at once instead of after the setup.
 func CheckWindow(primary map[string]wave.Waveform, opt Options) error {
-	opt = ResolveOptions(primary, opt)
+	opt = resolveWindow(primary, opt)
 	_, err := spice.FixedSteps(0, opt.Horizon, opt.Dt)
 	return err
+}
+
+// grid returns the window's grid: the resolved one, or for options that
+// were not resolved on this window, a grid of the solve's own.
+func (opt Options) grid() (*spice.Grid, error) {
+	if g := opt.Grid; g != nil && g.Spans(0, opt.Horizon, opt.Dt) {
+		return g, nil
+	}
+	return spice.NewGrid(0, opt.Horizon, opt.Dt)
 }
 
 // EvalStage evaluates the single instance at index idx: it gathers the
@@ -166,7 +188,7 @@ func EvalStageWithLoad(nl *Netlist, models map[string]*csm.Model, idx int, waves
 	var solveErr error
 	mis := opt.Mode != ModeSIS
 	if mis {
-		outW, solveErr = csm.SimulateStageOut(model, inWaves, load, 0, opt.Horizon, opt.Dt, waves[inst.Output].Stream())
+		outW, solveErr = simulateStageWaves(model, inWaves, load, opt, waves[inst.Output].Stream())
 	}
 	switching, err := checkInputs(inst, model, inWaves, held)
 	if err != nil {
@@ -180,7 +202,7 @@ func EvalStageWithLoad(nl *Netlist, models map[string]*csm.Model, idx int, waves
 			}
 			outW, solveErr = simulateSIS(model, inWaves, spec, vdd, load, opt)
 		} else {
-			outW, solveErr = simulateStageWaves(model, inWaves, load, opt)
+			outW, solveErr = simulateStageWaves(model, inWaves, load, opt, nil)
 		}
 	}
 	if solveErr != nil {
@@ -317,10 +339,15 @@ func StageLoad(nl *Netlist, models map[string]*csm.Model, fanouts map[string][][
 	return loads
 }
 
-// simulateStageWaves runs one implicit stage simulation over the window,
-// recording only the output waveform.
-func simulateStageWaves(model *csm.Model, inputs []wave.Waveform, load csm.Load, opt Options) (wave.Waveform, error) {
-	return csm.SimulateStageOut(model, inputs, load, 0, opt.Horizon, opt.Dt, nil)
+// simulateStageWaves runs one implicit stage simulation over the window's
+// grid, recording only the output waveform and publishing it into a
+// non-nil stream.
+func simulateStageWaves(model *csm.Model, inputs []wave.Waveform, load csm.Load, opt Options, out *wave.Stream) (wave.Waveform, error) {
+	g, err := opt.grid()
+	if err != nil {
+		return wave.Waveform{}, err
+	}
+	return csm.SimulateStageOut(model, inputs, load, g, out)
 }
 
 // simulateSIS applies the conventional SIS assumption to a stage with
@@ -346,7 +373,7 @@ func simulateSIS(model *csm.Model, inputs []wave.Waveform, spec cells.Spec, vdd 
 				solo[j] = wave.Constant(spec.NonControllingLevelFor(model.Inputs[j], vdd), 0, opt.Horizon)
 			}
 		}
-		outW, err := simulateStageWaves(model, solo, load, opt)
+		outW, err := simulateStageWaves(model, solo, load, opt, nil)
 		if err != nil {
 			return wave.Waveform{}, err
 		}

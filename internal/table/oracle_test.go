@@ -158,7 +158,8 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // coordinates covering interiors, exact breakpoints, span ends, clamped
 // out-of-span values and single-point axes. A second table on the same
 // grid reads through the first table's cursor, and one cursor is reused
-// across all seeks of a grid.
+// across all seeks of a grid. At rank 1 so is Value1, through a fresh
+// Cursor1 and one reused across the grid.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for rank := 1; rank <= MaxRank; rank++ {
@@ -170,6 +171,7 @@ func TestKernelMatchesReference(t *testing.T) {
 			axes := randomGrid(rng, rank, maxPts)
 			a, b := randomTable(rng, axes), randomTable(rng, axes)
 			var cur Cursor
+			var cur1 Cursor1
 			grad := make([]float64, rank)
 			coords := make([]float64, rank)
 			for q := 0; q < 40; q++ {
@@ -185,6 +187,12 @@ func TestKernelMatchesReference(t *testing.T) {
 					}
 					if got := tb.Value(&cur); !sameBits(got, wantV) {
 						t.Fatalf("rank %d Value(%v) = %v, reference %v", rank, coords, got, wantV)
+					}
+					if rank == 1 {
+						fresh, reused := tb.Value1(&Cursor1{}, coords[0]), tb.Value1(&cur1, coords[0])
+						if !sameBits(fresh, wantV) || !sameBits(reused, wantV) {
+							t.Fatalf("Value1(%v): fresh cursor %v, reused %v, reference %v", coords[0], fresh, reused, wantV)
+						}
 					}
 					gv, g := gradAt(tb, coords...)
 					vg := tb.ValueGrad(&cur, grad)
@@ -238,6 +246,18 @@ func TestSeekNaN(t *testing.T) {
 	one := MustNew(Uniform("v", 0, 1, 5), Uniform("w", 0, 1, 2))
 	if v := one.At(nan, 0.5); !math.IsNaN(v) {
 		t.Errorf("At(NaN, 0.5) = %v, want NaN", v)
+	}
+	// The rank-1 lookup keeps Seek's NaN rule, and its cursor recovers.
+	var cur1 Cursor1
+	for _, axis := range []Axis{Uniform("v", 0, 1, 5), {Name: "s", Points: []float64{0.5}}} {
+		line := MustNew(axis)
+		fill(line, func(c []float64) float64 { return 3*c[0] - 1 })
+		if v, want := line.Value1(&cur1, nan), line.At(nan); !sameBits(v, want) || !math.IsNaN(v) {
+			t.Errorf("Value1(NaN) = %v, At %v, want NaN", v, want)
+		}
+		if v, want := line.Value1(&cur1, 0.3), line.At(0.3); !sameBits(v, want) {
+			t.Errorf("Value1(0.3) after NaN = %v, want %v", v, want)
+		}
 	}
 }
 
