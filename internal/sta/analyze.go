@@ -27,10 +27,11 @@ type Options struct {
 	Mode    Mode
 	Dt      float64 // stage integration step (default 1 ps)
 	Horizon float64 // simulation window end (default: last input end + 2 ns)
-	// Grid is the window's time axis, [0, Horizon] at Dt, which every
+	// grid is the window's time axis, [0, Horizon] at Dt, which every
 	// fixed-step stage solve of the analysis records on and every stage
-	// output shares. ResolveOptions builds it; callers leave it nil.
-	Grid *spice.Grid
+	// output shares. Only ResolveOptions writes it; copies of the resolved
+	// options carry it to each solve.
+	grid *spice.Grid
 }
 
 // NetResult records the timing view of one net.
@@ -105,10 +106,10 @@ func Setup(models map[string]*csm.Model, primary map[string]wave.Waveform, opt O
 // from the primary stimuli) without requiring a model set — shared by
 // Setup and by delay backends that carry their own supply voltage. It
 // builds the window's grid once for the whole analysis; a window no grid
-// can cover leaves Grid nil, and the stage solves report it.
+// can cover leaves it nil, and the stage solves report it.
 func ResolveOptions(primary map[string]wave.Waveform, opt Options) Options {
 	opt = resolveWindow(primary, opt)
-	opt.Grid, _ = spice.NewGrid(0, opt.Horizon, opt.Dt)
+	opt.grid, _ = spice.NewGrid(0, opt.Horizon, opt.Dt)
 	return opt
 }
 
@@ -140,10 +141,11 @@ func CheckWindow(primary map[string]wave.Waveform, opt Options) error {
 	return err
 }
 
-// grid returns the window's grid: the resolved one, or for options that
-// were not resolved on this window, a grid of the solve's own.
-func (opt Options) grid() (*spice.Grid, error) {
-	if g := opt.Grid; g != nil && g.Spans(0, opt.Horizon, opt.Dt) {
+// window returns the window's grid: the resolved one, or for options that
+// were never resolved or whose Dt or Horizon changed since, a grid of the
+// solve's own.
+func (opt Options) window() (*spice.Grid, error) {
+	if g := opt.grid; g != nil && g.Spans(0, opt.Horizon, opt.Dt) {
 		return g, nil
 	}
 	return spice.NewGrid(0, opt.Horizon, opt.Dt)
@@ -343,7 +345,7 @@ func StageLoad(nl *Netlist, models map[string]*csm.Model, fanouts map[string][][
 // grid, recording only the output waveform and publishing it into a
 // non-nil stream.
 func simulateStageWaves(model *csm.Model, inputs []wave.Waveform, load csm.Load, opt Options, out *wave.Stream) (wave.Waveform, error) {
-	g, err := opt.grid()
+	g, err := opt.window()
 	if err != nil {
 		return wave.Waveform{}, err
 	}
