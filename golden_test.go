@@ -795,7 +795,9 @@ func TestGoldenNAND2Sweep(t *testing.T) {
 // covers every extraction branch of the exact path — SIS, MCSM with and
 // without the internal Miller tables, direct operating-point caps, the
 // MIS baseline — plus the FastConfig NAND2 MCSM the service's default
-// "fast" profile characterizes.
+// "fast" profile characterizes, and the same model on the approximate
+// Config.Fast solver path (warm DC starts, chord Newton, ΔV-adaptive
+// ramps), which no report fixture reaches.
 var goldenModels = []struct {
 	name string
 	cell string
@@ -809,10 +811,17 @@ var goldenModels = []struct {
 	{"coarse-direct-caps/NAND2/MCSM", "NAND2", csm.KindMCSM, coarseWith(func(c *csm.Config) { c.DirectCaps = true })},
 	{"coarse/NOR2/MIS-baseline", "NOR2", csm.KindMISBaseline, csm.CoarseConfig()},
 	{"fast/NAND2/MCSM", "NAND2", csm.KindMCSM, csm.FastConfig()},
+	{"fast-solver/NAND2/MCSM", "NAND2", csm.KindMCSM, fastWith(func(c *csm.Config) { c.Fast = true })},
 }
 
 func coarseWith(edit func(*csm.Config)) csm.Config {
 	cfg := csm.CoarseConfig()
+	edit(&cfg)
+	return cfg
+}
+
+func fastWith(edit func(*csm.Config)) csm.Config {
+	cfg := csm.FastConfig()
 	edit(&cfg)
 	return cfg
 }
