@@ -318,9 +318,13 @@ func BenchmarkStageMCSMAdaptive(b *testing.B) {
 	m := benchModel(b)
 	wa, wb := cells.NOR2HistoryInputs(tech.Vdd, 2, tm)
 	cl := cells.FanoutCap(tech, 2)
+	g, err := spice.NewAdaptive(0, tm.TEnd, spice.DefaultAdaptive())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := csm.SimulateStageAdaptive(m, []wave.Waveform{wa, wb}, csm.CapLoad(cl), 0, tm.TEnd, spice.DefaultAdaptive()); err != nil {
+		if _, err := csm.SimulateStageOut(m, []wave.Waveform{wa, wb}, csm.CapLoad(cl), g, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

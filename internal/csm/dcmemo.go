@@ -78,7 +78,8 @@ func ReadStageDCStats() StageDCStats {
 
 // stageX0 returns the stage's initial state at start: the operating point
 // eng.DCAt(start) computes, from m's memo when the load leaves the DC
-// system unchanged. Each call returns its own copy.
+// system unchanged. A hit returns the stored vector and a miss stores the
+// one DCAt returned, so the caller only reads it (Engine.RunFrom does).
 func stageX0(eng *spice.Engine, m *Model, inputs []wave.Waveform, load Load, start float64) ([]float64, error) {
 	if !dcOpen(load) {
 		stageDC.bypassed.Add(1)
@@ -93,7 +94,7 @@ func stageX0(eng *spice.Engine, m *Model, inputs []wave.Waveform, load Load, sta
 	stageDC.mu.Unlock()
 	if ok {
 		stageDC.hits.Add(1)
-		return append([]float64(nil), x...), nil
+		return x, nil
 	}
 	stageDC.misses.Add(1)
 	x, err := stageDCAt(eng, start)
@@ -101,7 +102,7 @@ func stageX0(eng *spice.Engine, m *Model, inputs []wave.Waveform, load Load, sta
 		return nil, err
 	}
 	stageDC.mu.Lock()
-	m.dcMemo().put(k, append([]float64(nil), x...))
+	m.dcMemo().put(k, x)
 	stageDC.mu.Unlock()
 	return x, nil
 }

@@ -17,9 +17,23 @@ const (
 	memoDt   = 2e-12
 )
 
-// plainStage runs a stage without the memo: a fresh engine whose Run (or
-// RunAdaptive, when adaptive is set) solves the DC operating point
-// itself, recording every unknown.
+// stageGrid is the step control of a memo test stage from start: fixed
+// steps of memoDt, or DefaultAdaptive's ΔV control when adaptive is set.
+func stageGrid(t *testing.T, start float64, adaptive bool) *spice.Grid {
+	t.Helper()
+	if !adaptive {
+		return mustGrid(t, start, memoStop, memoDt)
+	}
+	g, err := spice.NewAdaptive(start, memoStop, spice.DefaultAdaptive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// plainStage runs a stage without the memo: a fresh engine that solves
+// the DC operating point itself and records every unknown, in a Run or,
+// when adaptive is set, under DefaultAdaptive's ΔV control.
 func plainStage(t *testing.T, m *Model, inputs []wave.Waveform, load Load, start float64, adaptive bool) (out, vn wave.Waveform) {
 	t.Helper()
 	c, cell, outN, err := buildStage(m, inputs, load)
@@ -29,7 +43,10 @@ func plainStage(t *testing.T, m *Model, inputs []wave.Waveform, load Load, start
 	eng := spice.NewEngine(c, spice.DefaultOptions())
 	var res *spice.Result
 	if adaptive {
-		res, err = eng.RunAdaptive(start, memoStop, spice.DefaultAdaptive())
+		var x0 []float64
+		if x0, err = eng.DCAt(start); err == nil {
+			res, err = eng.RunFrom(x0, stageGrid(t, start, true), nil)
+		}
 	} else {
 		res, err = eng.Run(start, memoStop, memoDt)
 	}
@@ -43,13 +60,14 @@ func plainStage(t *testing.T, m *Model, inputs []wave.Waveform, load Load, start
 	return out, vn
 }
 
-// memoStage runs the memoized entry point matching plainStage.
+// memoStage runs the memoized stage solve matching plainStage, recording
+// the output and, for KindMCSM, the internal node.
 func memoStage(t *testing.T, m *Model, inputs []wave.Waveform, load Load, start float64, adaptive bool) *StageResult {
 	t.Helper()
 	var sr *StageResult
 	var err error
 	if adaptive {
-		sr, err = SimulateStageAdaptive(m, inputs, load, start, memoStop, spice.DefaultAdaptive())
+		sr, err = simulateStage(m, inputs, load, stageGrid(t, start, true), m.Kind == KindMCSM, nil)
 	} else {
 		sr, err = SimulateStage(m, inputs, load, start, memoStop, memoDt)
 	}
@@ -94,10 +112,15 @@ func memoModels(t *testing.T) map[string]*Model {
 
 // TestStageDCMemoOracle: a memoized stage solve — the first call, which
 // may solve and store the operating point, and a repeat, which reads it
-// back — records Out and VN bit-identical to a fresh engine's Run or
-// RunAdaptive, for every model kind, every load kind (capacitive loads
-// use the memo, RC and π loads bypass it) and inputs starting on a rail,
-// mid-rail and mid-ramp.
+// back — records Out and VN bit-identical to a fresh engine that solves
+// its own DC point and records every unknown, with fixed and with
+// ΔV-adaptive steps, for every model kind, every load kind (capacitive
+// loads use the memo, RC and π loads bypass it) and inputs starting on a
+// rail, mid-rail and mid-ramp. SimulateStageOut, which records the output
+// alone, returns the same output. The spice package checks the adaptive
+// run of every model kind with capacitive, receiver and RC loads against
+// the adaptive loop as it was before the transient loops merged
+// (TestAdaptiveLoopOracleStages).
 func TestStageDCMemoOracle(t *testing.T) {
 	for name, m := range memoModels(t) {
 		loads := map[string]Load{
@@ -118,13 +141,11 @@ func TestStageDCMemoOracle(t *testing.T) {
 						requireSameWave(t, fmt.Sprintf("%s, call %d: Out", what, call), sr.Out, wantOut)
 						requireSameWave(t, fmt.Sprintf("%s, call %d: VN", what, call), sr.VN, wantVN)
 					}
-					if !adaptive {
-						out, err := SimulateStageOut(m, inputs, load, mustGrid(t, start, memoStop, memoDt), nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameWave(t, what+": SimulateStageOut", out, wantOut)
+					out, err := SimulateStageOut(m, inputs, load, stageGrid(t, start, adaptive), nil)
+					if err != nil {
+						t.Fatal(err)
 					}
+					requireSameWave(t, what+": SimulateStageOut", out, wantOut)
 				}
 			}
 		}

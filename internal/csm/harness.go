@@ -280,9 +280,8 @@ func (rs rampSpec) timeOf(v float64) float64 {
 	return rs.tFlat + (v-(rs.lo-rs.pad))/rs.slope
 }
 
-// runRamp performs the transient and returns its record. keep lists the
-// unknowns the caller reads (the branch currents it measures); the fast
-// path's adaptive run records every unknown.
+// runRamp performs the transient and returns its record of keep, the
+// unknowns the caller reads (the branch currents it measures).
 //
 // The caller reads the record at times up to until (Waveform.At), so the
 // exact run ends at its first sample strictly later than until: the
@@ -301,7 +300,7 @@ func (h *harness) runRamp(rs rampSpec, dt, until float64, keep ...int) (*spice.R
 	var res *spice.Result
 	var err error
 	if h.fast {
-		res, err = h.runRampFast(end, dt)
+		res, err = h.runRampFast(end, dt, keep)
 	} else {
 		res, err = h.eng.RunUntil(0, end, dt, readThrough(until), keep...)
 	}
@@ -326,20 +325,22 @@ func readThrough(until float64) func(*spice.Result) bool {
 // previous ramp's accepted-step history. The ΔV bound (Vdd/24, ≈50 mV at
 // 1.2 V) keeps the sampled current waveform resolved through the ramp
 // while flat settle intervals coast at up to 16·dt.
-func (h *harness) runRampFast(end, dt float64) (*spice.Result, error) {
+func (h *harness) runRampFast(end, dt float64, keep []int) (*spice.Result, error) {
 	x0, err := h.dcSolve()
 	if err != nil {
 		return nil, err
 	}
 	aopt := spice.AdaptiveOptions{
-		DtMin:    dt / 2,
-		DtMax:    dt * 16,
-		MaxDV:    h.tech.Vdd / 24,
-		GrowBy:   1.4,
-		ShrinkBy: 0.5,
-		DtInit:   h.dtSeed,
+		DtMin:  dt / 2,
+		DtMax:  dt * 16,
+		MaxDV:  h.tech.Vdd / 24,
+		DtInit: h.dtSeed,
 	}
-	res, err := h.eng.RunAdaptiveFrom(x0, 0, end, aopt)
+	g, err := spice.NewAdaptive(0, end, aopt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.eng.RunFrom(x0, g, nil, keep...)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // stageSolveAllocs bounds a warmed fixed-step stage solve: the output
-// column, plus six small objects around it: the Result, its column
-// headers, the kept index, the StageResult, the memoized DC point's copy
-// and the capacitive load's element.
-const stageSolveAllocs = 1 + 6
+// column, plus five small objects around it: the Result, its column
+// headers, the kept index, the StageResult and the capacitive load's
+// element. The memoized DC point is read in place.
+const stageSolveAllocs = 1 + 5
 
 // TestStageSolveAllocs: once a model's pool holds a bench and its memo
 // the stage's DC point, a solve allocates its output column and a few

@@ -83,37 +83,6 @@ func (ml MultiLoad) Attach(c *spice.Circuit, out spice.Node) {
 type StageResult struct {
 	Out wave.Waveform // output voltage
 	VN  wave.Waveform // internal node voltage (KindMCSM; empty otherwise)
-	// Res is the solver record: every unknown for an adaptive run, the
-	// output and VN only for a fixed-step one. Read it by index (Wave,
-	// AuxWave, At): the stage circuit it names nodes by is reused by the
-	// model's next solve.
-	Res *spice.Result
-}
-
-// SimulateStageAdaptive is SimulateStage with ΔV-controlled adaptive time
-// stepping — the CSM cell is an ordinary circuit element, so the engine's
-// adaptive integrator applies unchanged. For digital waveforms this cuts
-// the step count by an order of magnitude at matched accuracy (EXP-T1).
-// Its initial state is SimulateStage's.
-func SimulateStageAdaptive(m *Model, inputs []wave.Waveform, load Load, start, stop float64, opt spice.AdaptiveOptions) (*StageResult, error) {
-	b, err := m.bench(inputs, load)
-	if err != nil {
-		return nil, err
-	}
-	defer b.release()
-	x0, err := stageX0(b.eng, m, inputs, load, start)
-	if err != nil {
-		return nil, err
-	}
-	res, err := b.eng.RunAdaptiveFrom(x0, start, stop, opt)
-	if err != nil {
-		return nil, err
-	}
-	sr := &StageResult{Out: res.Wave(b.out), Res: res}
-	if m.Kind == KindMCSM {
-		sr.VN = res.AuxWave(b.cell.VNIndex())
-	}
-	return sr, nil
 }
 
 // A stageBench is the circuit and engine of a stage solve: ideal sources
@@ -231,7 +200,10 @@ func SimulateStage(m *Model, inputs []wave.Waveform, load Load, start, stop, dt 
 
 // SimulateStageOut is SimulateStage for callers that need only the output
 // waveform, such as static timing: the run records the output node alone,
-// on the caller's grid, whose times the output's T shares. With a non-nil
+// under the caller's step control. On a fixed-step grid the output's T
+// shares the grid's times; a ΔV-adaptive grid (spice.NewAdaptive) takes
+// far fewer steps on digital waveforms at matched accuracy (EXP-T1), the
+// CSM cell being an ordinary circuit element to the engine. With a non-nil
 // out it publishes the output into out as it records it (every
 // spice.PublishEvery steps); the caller closes out. Inputs may be live
 // views of other stages' streams: the solve reads each input only at its
@@ -245,9 +217,9 @@ func SimulateStageOut(m *Model, inputs []wave.Waveform, load Load, g *spice.Grid
 	return sr.Out, nil
 }
 
-// simulateStage runs the fixed-step stage simulation on grid g, recording
-// the output and, when withVN is set, the internal node, and publishing
-// the output into a non-nil stream.
+// simulateStage runs the stage simulation under g's step control,
+// recording the output and, when withVN is set, the internal node, and
+// publishing the output into a non-nil stream.
 func simulateStage(m *Model, inputs []wave.Waveform, load Load, g *spice.Grid, withVN bool, stream *wave.Stream) (*StageResult, error) {
 	b, err := m.bench(inputs, load)
 	if err != nil {
@@ -271,7 +243,7 @@ func simulateStage(m *Model, inputs []wave.Waveform, load Load, g *spice.Grid, w
 	if err != nil {
 		return nil, err
 	}
-	sr := &StageResult{Out: res.Wave(b.out), Res: res}
+	sr := &StageResult{Out: res.Wave(b.out)}
 	if withVN {
 		sr.VN = res.AuxWave(b.cell.VNIndex())
 	}

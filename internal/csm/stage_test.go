@@ -251,7 +251,11 @@ func TestAdaptiveStageMatchesFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := SimulateStageAdaptive(m, inputs, CapLoad(cl), 0, tm.TEnd, spice.DefaultAdaptive())
+	g, err := spice.NewAdaptive(0, tm.TEnd, spice.DefaultAdaptive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := simulateStage(m, inputs, CapLoad(cl), g, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +264,9 @@ func TestAdaptiveStageMatchesFixed(t *testing.T) {
 	if diff := math.Abs(dF - dA); diff > 1.5e-12 {
 		t.Errorf("adaptive vs fixed stage delay differ by %.2fps", diff*1e12)
 	}
-	if ad.Res.Steps() >= fixed.Res.Steps()/3 {
-		t.Errorf("adaptive stage used %d steps vs fixed %d", ad.Res.Steps(), fixed.Res.Steps())
+	if ad.Out.Len() >= fixed.Out.Len()/3 {
+		t.Errorf("adaptive stage used %d steps vs fixed %d", ad.Out.Len(), fixed.Out.Len())
 	}
 	t.Logf("stage steps: adaptive %d vs fixed %d; delay diff %.2fps",
-		ad.Res.Steps(), fixed.Res.Steps(), math.Abs(dF-dA)*1e12)
+		ad.Out.Len(), fixed.Out.Len(), math.Abs(dF-dA)*1e12)
 }

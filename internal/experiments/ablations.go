@@ -88,9 +88,13 @@ func runEfficiency(s *Session) (Renderable, error) {
 	}
 	expTime := time.Since(t0) / time.Duration(reps)
 
+	g, err := spice.NewAdaptive(0, tm.TEnd, spice.DefaultAdaptive())
+	if err != nil {
+		return nil, err
+	}
 	t0 = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := csm.SimulateStageAdaptive(m, []wave.Waveform{wa, wb}, csm.CapLoad(cl), 0, tm.TEnd, spice.DefaultAdaptive()); err != nil {
+		if _, err := csm.SimulateStageOut(m, []wave.Waveform{wa, wb}, csm.CapLoad(cl), g, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -62,8 +62,16 @@ func historyRefAdaptive(cfg Config, caseNo int, cl float64, tm cells.HistoryTimi
 	c.AddVSource("VB", b, spice.Ground, wb)
 	cells.NOR2(c, cfg.Tech, "X", []spice.Node{a, b}, outN, vddN, 1)
 	c.AddCapacitor("CL", outN, spice.Ground, cl)
+	g, err := spice.NewAdaptive(0, tm.TEnd, spice.DefaultAdaptive())
+	if err != nil {
+		return err
+	}
 	eng := spice.NewEngine(c, spice.DefaultOptions())
-	_, err := eng.RunAdaptive(0, tm.TEnd, spice.DefaultAdaptive())
+	x0, err := eng.DCAt(0)
+	if err != nil {
+		return err
+	}
+	_, err = eng.RunFrom(x0, g, nil)
 	return err
 }
 

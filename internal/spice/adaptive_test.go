@@ -1,12 +1,28 @@
 package spice
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mcsm/internal/device"
 	"mcsm/internal/wave"
 )
+
+// runAdaptive runs e from its DC point at start under NewAdaptive's step
+// control.
+func runAdaptive(e *Engine, start, stop float64, opt AdaptiveOptions, keep ...int) (*Result, error) {
+	g, err := NewAdaptive(start, stop, opt)
+	if err != nil {
+		return nil, err
+	}
+	x0, err := e.DCAt(start)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunFrom(x0, g, nil, keep...)
+}
 
 func TestAdaptiveRCMatchesAnalytic(t *testing.T) {
 	c := NewCircuit()
@@ -18,7 +34,7 @@ func TestAdaptiveRCMatchesAnalytic(t *testing.T) {
 	e := NewEngine(c, DefaultOptions())
 	opt := DefaultAdaptive()
 	opt.DtMax = 200e-12
-	res, err := e.RunAdaptive(0, 10e-9, opt)
+	res, err := runAdaptive(e, 0, 10e-9, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +74,7 @@ func TestAdaptiveInverterMatchesFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	eAd, outA := build()
-	ad, err := eAd.RunAdaptive(0, 3e-9, DefaultAdaptive())
+	ad, err := runAdaptive(eAd, 0, 3e-9, DefaultAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +104,13 @@ func TestAdaptiveInverterMatchesFixed(t *testing.T) {
 // circuit the very first step is exactly DtInit, out-of-range seeds clamp
 // to [DtMin, DtMax], and zero keeps the historical DtMin·4 default.
 func TestAdaptiveDtInitSeeding(t *testing.T) {
-	build := func() (*Engine, []float64) {
+	build := func() *Engine {
 		c := NewCircuit()
 		n := c.Node("n")
 		c.AddVSource("V", n, Ground, DC(1))
 		c.AddResistor("R", n, c.Node("out"), 1e3)
 		c.AddCapacitor("C", c.Node("out"), Ground, 1e-12)
-		e := NewEngine(c, DefaultOptions())
-		x0, err := e.DCAt(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, x0
+		return NewEngine(c, DefaultOptions())
 	}
 	opt := DefaultAdaptive()
 	opt.DtMin = 1e-12
@@ -113,10 +124,9 @@ func TestAdaptiveDtInitSeeding(t *testing.T) {
 		{900e-12, 100e-12}, // clamped down to DtMax
 	}
 	for _, tc := range cases {
-		e, x0 := build()
 		o := opt
 		o.DtInit = tc.init
-		res, err := e.RunAdaptiveFrom(x0, 0, 1e-9, o)
+		res, err := runAdaptive(build(), 0, 1e-9, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,16 +151,12 @@ func TestAdaptiveStepRejection(t *testing.T) {
 	c.AddResistor("R", in, out, 1e3)
 	c.AddCapacitor("C", out, Ground, 1e-12)
 	e := NewEngine(c, DefaultOptions())
-	x0, err := e.DCAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := DefaultAdaptive()
 	opt.DtMin = 0.5e-12
 	opt.DtMax = 500e-12
 	opt.MaxDV = 0.05
 	opt.DtInit = 500e-12 // the input finishes its swing inside one such step
-	res, err := e.RunAdaptiveFrom(x0, 0, 3e-9, opt)
+	res, err := runAdaptive(e, 0, 3e-9, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,20 +177,50 @@ func TestAdaptiveStepRejection(t *testing.T) {
 }
 
 func TestAdaptiveValidation(t *testing.T) {
-	c := NewCircuit()
-	n := c.Node("n")
-	c.AddVSource("V", n, Ground, DC(1))
-	e := NewEngine(c, DefaultOptions())
-	if _, err := e.RunAdaptive(0, -1, DefaultAdaptive()); err == nil {
+	if _, err := NewAdaptive(0, -1, DefaultAdaptive()); err == nil {
 		t.Error("negative window accepted")
 	}
 	bad := DefaultAdaptive()
 	bad.DtMin = 0
-	if _, err := e.RunAdaptive(0, 1e-9, bad); err == nil {
+	if _, err := NewAdaptive(0, 1e-9, bad); err == nil {
 		t.Error("zero DtMin accepted")
 	}
-	if _, err := e.RunAdaptiveFrom([]float64{1}, 0, 1e-9, DefaultAdaptive()); err == nil {
+	bad = DefaultAdaptive()
+	bad.DtMax = bad.DtMin / 2
+	if _, err := NewAdaptive(0, 1e-9, bad); err == nil {
+		t.Error("DtMax below DtMin accepted")
+	}
+	c := NewCircuit()
+	n := c.Node("n")
+	c.AddVSource("V", n, Ground, DC(1))
+	e := NewEngine(c, DefaultOptions())
+	g, err := NewAdaptive(0, 1e-9, DefaultAdaptive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunFrom([]float64{1}, g, nil); err == nil {
 		t.Error("wrong-size state accepted")
+	}
+}
+
+// TestAdaptiveStepBound: an adaptive run fails once it has taken
+// MaxSteps steps, naming the bound, as a fixed-step run that needs more
+// never starts. DtMin = DtMax = 1 fs over 1.1 ns needs 1.1·10⁶.
+func TestAdaptiveStepBound(t *testing.T) {
+	c := NewCircuit()
+	in := c.Node("in")
+	out := c.Node("out")
+	c.AddVSource("V1", in, Ground, wave.SaturatedRamp(0, 1, 0.1e-9, 0.1e-9, 2e-9))
+	c.AddResistor("R", in, out, 1e3)
+	c.AddCapacitor("C", out, Ground, 1e-12)
+	e := NewEngine(c, DefaultOptions())
+	opt := AdaptiveOptions{DtMin: 1e-15, DtMax: 1e-15}
+	res, err := runAdaptive(e, 0, 1.1e-9, opt, int(out)-1)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxSteps)) {
+		t.Fatalf("err = %v, want the %d-step bound", err, MaxSteps)
+	}
+	if res.Steps() != MaxSteps+1 {
+		t.Errorf("the failed run recorded %d points, want %d", res.Steps(), MaxSteps+1)
 	}
 }
 
@@ -236,4 +272,50 @@ func supplyEnergy(r *Result, v *VSource, t0, t1 float64) float64 {
 		e += -v.Value(tm) * im * (iw.T[k] - iw.T[k-1])
 	}
 	return e
+}
+
+// TestAdaptivePublishKeep: an adaptive run that keeps one unknown and
+// publishes records that unknown bit for bit as a full, unpublished run
+// does, publishing after every PublishEvery steps; and each published
+// prefix still holds the final samples after the record has doubled out
+// of the storage it was published from.
+func TestAdaptivePublishKeep(t *testing.T) {
+	full, out := buildInverter(DefaultOptions())
+	oi := int(out) - 1
+	x0, err := full.DCAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewAdaptive(0, 3e-9, DefaultAdaptive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.RunFrom(x0, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := buildInverter(DefaultOptions())
+	var pubs []wave.Waveform
+	got, err := e.RunFrom(x0, g, func(r *Result) { pubs = append(pubs, r.Wave(out)) }, oi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Steps() != want.Steps() || got.Steps() <= 2*unknownSteps {
+		t.Fatalf("run recorded %d points, the full run %d; want the same, more than %d", got.Steps(), want.Steps(), 2*unknownSteps)
+	}
+	sameRecordPrefix(t, got, want, []int{oi})
+	if len(pubs) != (got.Steps()-1)/PublishEvery {
+		t.Errorf("published %d times, want %d", len(pubs), (got.Steps()-1)/PublishEvery)
+	}
+	final := got.Wave(out)
+	for i, p := range pubs {
+		if p.Len() != (i+1)*PublishEvery+1 {
+			t.Fatalf("publication %d held %d points, want %d", i, p.Len(), (i+1)*PublishEvery+1)
+		}
+		for k := range p.V {
+			if math.Float64bits(p.T[k]) != math.Float64bits(final.T[k]) || math.Float64bits(p.V[k]) != math.Float64bits(final.V[k]) {
+				t.Fatalf("publication %d, point %d: (%v, %v), final (%v, %v)", i, k, p.T[k], p.V[k], final.T[k], final.V[k])
+			}
+		}
+	}
 }

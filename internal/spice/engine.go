@@ -76,7 +76,7 @@ type Engine struct {
 	chordAge int
 	fPrev    float64
 
-	// The fixed-step loop's state and step vectors, reset per run.
+	// The transient loop's state and step vectors, reset per run.
 	ctxRun         Context
 	xRun, xPrevRun []float64
 }
@@ -408,7 +408,7 @@ func (e *Engine) RunUntil(start, stop, dt float64, done func(*Result) bool, keep
 	if err != nil {
 		return nil, err
 	}
-	return e.runFrom(x0, g, done, nil, keep)
+	return e.run(x0, g, done, nil, keep)
 }
 
 // PublishEvery is the step count between the record prefixes RunFrom
@@ -416,22 +416,25 @@ func (e *Engine) RunUntil(start, stop, dt float64, done func(*Result) bool, keep
 // steps, and the run pays one publication per this many.
 const PublishEvery = 16
 
-// RunFrom performs a transient analysis on the grid's window, starting
+// RunFrom performs a transient analysis under g's step control, starting
 // from the supplied unknown vector (typically a previous DC or transient
-// solution). keep is as for Run. The record's times are views of the
-// grid's. A non-nil publish sees the record after every PublishEvery
-// recorded steps while the run goes on, so another goroutine can read
-// the samples recorded so far: the record is reserved for the whole
-// window before the first step and never moves, and a recorded sample
-// never changes, so a published prefix stays valid.
+// solution), which it only reads. keep is as for Run. On a fixed-step
+// grid the record's times are views of the grid's; an adaptive run
+// records its own. A non-nil publish sees the record after every
+// PublishEvery recorded steps while the run goes on, so another goroutine
+// can read the samples recorded so far: a recorded sample never changes,
+// and the record never writes to storage it has left (a fixed-step one is
+// reserved for the whole window before the first step; one that grows
+// copies itself into new storage), so a published prefix stays valid.
 func (e *Engine) RunFrom(x0 []float64, g *Grid, publish func(*Result), keep ...int) (*Result, error) {
-	return e.runFrom(x0, g, nil, publish, keep)
+	return e.run(x0, g, nil, publish, keep)
 }
 
-// runFrom is the one fixed-step transient loop, behind RunFrom and
-// RunUntil; done is as for RunUntil and publish as for RunFrom. A grid
-// without times (window) makes the record keep its own.
-func (e *Engine) runFrom(x0 []float64, g *Grid, done func(*Result) bool, publish func(*Result), keep []int) (*Result, error) {
+// run is the one transient loop, behind RunFrom and RunUntil; done is as
+// for RunUntil and publish as for RunFrom. A grid without times (window)
+// makes the record keep its own. Each step solves once on a fixed-step
+// grid; an adaptive one retries it shorter until it is accepted.
+func (e *Engine) run(x0 []float64, g *Grid, done func(*Result) bool, publish func(*Result), keep []int) (*Result, error) {
 	n := e.Unknowns()
 	if len(x0) != n {
 		return nil, fmt.Errorf("spice: initial state has %d unknowns, want %d", len(x0), n)
@@ -440,10 +443,11 @@ func (e *Engine) runFrom(x0 []float64, g *Grid, done func(*Result) bool, publish
 		return nil, err
 	}
 	// A run with a stop check usually ends well before its horizon (an
-	// NLDM table point fills about a seventh of it), so it reserves as an
-	// adaptive run does and lets the record double.
+	// NLDM table point fills about a seventh of it), and an adaptive run
+	// does not know its step count, so both start small and let the
+	// record double.
 	reserve := g.steps + 1
-	if done != nil {
+	if done != nil || g.dv != nil {
 		reserve = min(reserve, unknownSteps)
 	}
 	res := newResult(e.ckt, n, reserve, keep, g.t)
@@ -464,43 +468,78 @@ func (e *Engine) runFrom(x0 []float64, g *Grid, done func(*Result) bool, publish
 	}
 
 	res.record(g.start, x0)
-	for k := 1; k <= g.steps; k++ {
-		tEnd, h, ok := g.step(k)
-		if !ok {
-			break
+	t, h := g.start, 0.0 // the last accepted time; the next step's length
+	if g.dv != nil {
+		h = g.dv.DtInit
+	}
+	for k := 1; ; k++ {
+		var tEnd float64
+		if g.dv == nil {
+			if k > g.steps {
+				break
+			}
+			var ok bool
+			if tEnd, h, ok = g.step(k); !ok {
+				break
+			}
+		} else {
+			if !(t < g.stop-g.dv.DtMin/2) {
+				break
+			}
+			if k > g.steps {
+				return res, fmt.Errorf("spice: adaptive run over [%g,%g] takes more than %d steps", g.start, g.stop, g.steps)
+			}
+			if t+h > g.stop {
+				h = g.stop - t
+			}
+			tEnd = t + h
 		}
-		ctx.Time, ctx.Dt = tEnd, h
 		// First step after DC uses backward Euler to avoid trapezoidal
 		// start-up oscillation from inconsistent initial cap currents.
+		method := e.opt.Method
 		if k == 1 {
-			ctx.Method = BackwardEuler
-		} else {
-			ctx.Method = e.opt.Method
+			method = BackwardEuler
 		}
-		for _, st := range e.steppers {
-			st.BeginStep(ctx)
-		}
-		if err := e.newton(ctx, e.opt.Gmin); err != nil {
-			if ctx.Method != Trapezoidal {
-				return res, fmt.Errorf("spice: transient step %d failed: %w", k, err)
+		for attempt := 1; ; attempt++ {
+			ctx.Time, ctx.Dt = tEnd, h
+			err := e.solveStep(ctx, method)
+			if err == nil && (g.dv == nil || g.dv.accepts(ctx.X[:e.nNodes], ctx.Xprev[:e.nNodes], h)) {
+				break
 			}
-			// Trapezoidal's undamped mode can ring against per-step
-			// re-frozen nonlinear capacitances; retry the step with the
-			// L-stable backward Euler rule (the classic SPICE fallback).
+			if g.dv != nil {
+				h = max(h*shrinkBy, g.dv.DtMin)
+				tEnd = t + h
+			}
+			if err != nil && (g.dv == nil || h <= g.dv.DtMin*1.0000001) {
+				// The step cannot shrink. Trapezoidal's undamped mode
+				// can ring against per-step re-frozen nonlinear
+				// capacitances; retry the failed solve (ctx still holds
+				// its time and length) with the L-stable backward Euler
+				// rule, the classic SPICE fallback. A solve that failed
+				// under that rule would fail the same way again.
+				if ctx.Method != Trapezoidal {
+					return res, fmt.Errorf("spice: transient step %d failed: %w", k, err)
+				}
+				copy(ctx.X, ctx.Xprev)
+				if err := e.solveStep(ctx, BackwardEuler); err != nil {
+					return res, fmt.Errorf("spice: transient step %d failed (BE retry): %w", k, err)
+				}
+				break
+			}
+			if attempt == maxAttempts {
+				return res, fmt.Errorf("spice: transient step %d at t=%g not accepted", k, t)
+			}
 			copy(ctx.X, ctx.Xprev)
-			ctx.Method = BackwardEuler
-			for _, st := range e.steppers {
-				st.BeginStep(ctx)
-			}
-			if err2 := e.newton(ctx, e.opt.Gmin); err2 != nil {
-				return res, fmt.Errorf("spice: transient step %d failed (BE retry): %w", k, err2)
-			}
 		}
 		for _, st := range e.steppers {
 			st.AcceptStep(ctx)
 		}
 		copy(ctx.Xprev, ctx.X)
-		res.record(tEnd, ctx.X)
+		t = ctx.Time
+		res.record(t, ctx.X)
+		if g.dv != nil {
+			h = min(h*growBy, g.dv.DtMax)
+		}
 		if done != nil && done(res) {
 			break
 		}
@@ -509,6 +548,16 @@ func (e *Engine) runFrom(x0 []float64, g *Grid, done func(*Result) bool, publish
 		}
 	}
 	return res, nil
+}
+
+// solveStep solves the transient step ctx holds under method, starting
+// from ctx.X: every stepper begins the step, then Newton runs.
+func (e *Engine) solveStep(ctx *Context, method Method) error {
+	ctx.Method = method
+	for _, st := range e.steppers {
+		st.BeginStep(ctx)
+	}
+	return e.newton(ctx, e.opt.Gmin)
 }
 
 // resetBranches clears capacitor history on elements that expose it.

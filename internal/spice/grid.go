@@ -5,16 +5,86 @@ import (
 	"math"
 )
 
-// Grid is the time axis of a fixed-step run over [start, stop] at dt:
-// the initial time, then the end of every step the fixed-step loop takes.
-// Step k ends at start + k·dt, clamped to stop, and the loop ends before
-// a final step shorter than a millionth of dt (see step). A grid is
-// read-only once built, so every run on it, and every waveform those runs
-// return, shares its times instead of recording a copy.
+// Grid is the step control of a transient run over [start, stop]: fixed
+// steps of dt (NewGrid) or ΔV-adaptive steps (NewAdaptive). A fixed-step
+// grid is also the run's time axis: the initial time, then the end of
+// every step. Step k ends at start + k·dt, clamped to stop, and the loop
+// ends before a final step shorter than a millionth of dt (see step). A
+// grid is read-only once built, so every run on it, and every waveform
+// those runs return, shares its times instead of recording a copy. An
+// adaptive run picks its steps as it goes and records its own times.
 type Grid struct {
 	start, stop, dt float64
-	steps           int       // FixedSteps(start, stop, dt)
-	t               []float64 // the times, len == cap; nil on a window
+	steps           int              // FixedSteps(start, stop, dt); MaxSteps, the bound, when adaptive
+	t               []float64        // the times, len == cap; nil on a window or when adaptive
+	dv              *AdaptiveOptions // the ΔV control (NewAdaptive); nil for fixed steps
+}
+
+// AdaptiveOptions controls ΔV-based adaptive time stepping: the step grows
+// while node voltages move slowly and shrinks through fast transitions.
+// This is the classic fast-SPICE control (cheaper than LTE estimation and
+// effective for digital waveforms, which are quiet most of the time).
+type AdaptiveOptions struct {
+	DtMin float64 // smallest allowed step
+	DtMax float64 // largest allowed step
+	MaxDV float64 // target maximum node-voltage change per step (default Vdd/20 ≈ 60 mV)
+	// DtInit seeds the very first step (clamped to [DtMin, DtMax]).
+	// Zero keeps the historical default of DtMin·4. Characterization
+	// callers set it from the previous grid point's accepted step history
+	// so neighboring points skip the initial grow-from-minimum ramp.
+	DtInit float64
+}
+
+// An adaptive run grows the step by growBy after each accepted step and
+// shrinks it by shrinkBy on each rejected attempt, of which a step gets
+// at most maxAttempts.
+const (
+	growBy      = 1.4
+	shrinkBy    = 0.5
+	maxAttempts = 40
+)
+
+// DefaultAdaptive returns the standard adaptive configuration for the
+// nanosecond-scale digital waveforms of this repository.
+func DefaultAdaptive() AdaptiveOptions {
+	return AdaptiveOptions{
+		DtMin: 0.05e-12,
+		DtMax: 20e-12,
+		MaxDV: 0.06,
+	}
+}
+
+// NewAdaptive returns the ΔV step control of a run over [start, stop]. A
+// step whose largest node-voltage change exceeds MaxDV is rejected and
+// retried at half the length, down to DtMin; each accepted step lets the
+// next grow toward DtMax. The run records its accepted, non-uniform time
+// points and fails once it has taken MaxSteps steps. NewAdaptive fails
+// on an empty window, a DtMin that is not positive and a DtMax below it.
+func NewAdaptive(start, stop float64, opt AdaptiveOptions) (*Grid, error) {
+	if opt.DtMin <= 0 || opt.DtMax < opt.DtMin || stop <= start {
+		return nil, fmt.Errorf("spice: invalid adaptive window/steps")
+	}
+	if opt.MaxDV <= 0 {
+		opt.MaxDV = 0.06
+	}
+	if opt.DtInit <= 0 {
+		opt.DtInit = opt.DtMin * 4
+	}
+	opt.DtInit = min(max(opt.DtInit, opt.DtMin), opt.DtMax)
+	return &Grid{start: start, stop: stop, steps: MaxSteps, dv: &opt}, nil
+}
+
+// accepts reports whether an adaptive step of length h that moved the
+// node voltages from xprev to x is kept: it moved none of them by more
+// than MaxDV, or it cannot shrink.
+func (o *AdaptiveOptions) accepts(x, xprev []float64, h float64) bool {
+	maxDV := 0.0
+	for i, v := range x {
+		if d := math.Abs(v - xprev[i]); d > maxDV {
+			maxDV = d
+		}
+	}
+	return maxDV <= o.MaxDV || h <= o.DtMin*1.0000001
 }
 
 // FixedSteps returns the step count of a fixed-step run over [start, stop]
@@ -79,8 +149,9 @@ func (g *Grid) step(k int) (t, h float64, ok bool) {
 	return t, h, h > g.dt*1e-6
 }
 
-// Times returns the grid's times. The slice is shared and read-only; its
-// capacity equals its length, so an append copies it.
+// Times returns a fixed-step grid's times, nil for an adaptive one. The
+// slice is shared and read-only; its capacity equals its length, so an
+// append copies it.
 func (g *Grid) Times() []float64 { return g.t }
 
 // Start returns the window's start time.
