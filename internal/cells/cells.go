@@ -1,10 +1,6 @@
 package cells
 
-import (
-	"fmt"
-
-	"mcsm/internal/spice"
-)
+import "mcsm/internal/spice"
 
 // Instance describes a placed cell: its input pins, output, and any
 // internal (stack) nodes, by name. Internal node names follow the paper's
@@ -152,16 +148,4 @@ func OAI21(c *spice.Circuit, t Tech, name string, inputs []spice.Node, out, vdd 
 		Pins:     map[string]spice.Node{"A": a, "B": b, "C": cc, "Out": out},
 		Internal: map[string]spice.Node{"N": n, "NP": np},
 	}
-}
-
-// PlaceNamed builds the named catalog cell with freshly created input/output
-// nodes derived from the instance name, returning the instance. It is a
-// convenience for tests and STA netlist elaboration.
-func PlaceNamed(c *spice.Circuit, t Tech, spec Spec, name string, vdd spice.Node) (Instance, error) {
-	inputs := make([]spice.Node, len(spec.Inputs))
-	for i, pin := range spec.Inputs {
-		inputs[i] = c.Node(fmt.Sprintf("%s.%s", name, pin))
-	}
-	out := c.Node(name + ".Out")
-	return spec.Build(c, t, name, inputs, out, vdd, spec.Drive), nil
 }

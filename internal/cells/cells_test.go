@@ -214,10 +214,10 @@ func TestFullyModeled(t *testing.T) {
 func TestNonControllingLevel(t *testing.T) {
 	norSpec, _ := Get("NOR2")
 	nandSpec, _ := Get("NAND2")
-	if norSpec.NonControllingLevel(1.2) != 0 {
+	if norSpec.NonControllingLevelFor("A", 1.2) != 0 {
 		t.Error("NOR non-controlling should be 0")
 	}
-	if nandSpec.NonControllingLevel(1.2) != 1.2 {
+	if nandSpec.NonControllingLevelFor("A", 1.2) != 1.2 {
 		t.Error("NAND non-controlling should be Vdd")
 	}
 }
@@ -247,26 +247,6 @@ func TestAttachFanoutInverters(t *testing.T) {
 	// Six new transistors.
 	if got := len(c.Elements()); got != 6 {
 		t.Errorf("fanout added %d elements, want 6", got)
-	}
-}
-
-func TestPlaceNamed(t *testing.T) {
-	tech := Default130()
-	spec, _ := Get("NAND2")
-	c := spice.NewCircuit()
-	vdd := c.Node("vdd")
-	inst, err := PlaceNamed(c, tech, spec, "U1", vdd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inst.Pins["A"]; !ok {
-		t.Error("missing pin A")
-	}
-	if _, ok := inst.Pins["Out"]; !ok {
-		t.Error("missing pin Out")
-	}
-	if _, ok := inst.Internal["N"]; !ok {
-		t.Error("missing internal node N")
 	}
 }
 

@@ -43,15 +43,6 @@ func (s Spec) FullyModeled() bool {
 	return len(s.ModelInputs) == len(s.Inputs)
 }
 
-// NonControllingLevel returns the cell-wide voltage at which held inputs
-// are parked (use NonControllingLevelFor when the pin is known).
-func (s Spec) NonControllingLevel(vdd float64) float64 {
-	if s.NonControllingHigh {
-		return vdd
-	}
-	return 0
-}
-
 // NonControllingLevelFor returns the park level of a specific pin,
 // honoring per-pin overrides of heterogeneous cells.
 func (s Spec) NonControllingLevelFor(pin string, vdd float64) float64 {

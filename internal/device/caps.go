@@ -16,15 +16,6 @@ type Caps struct {
 	CSB float64
 }
 
-// Capacitances evaluates the charge model at the given terminal voltages
-// (relative to the source). The intrinsic Meyer partition is blended
-// smoothly between cutoff, triode, and saturation with logistic weights so
-// the per-step capacitance linearization in the transient solver never sees
-// discontinuities.
-func (m MOS) Capacitances(vgs, vds, vbs float64) Caps {
-	return m.CapacitancesCached(nil, nil, vgs, vds, vbs)
-}
-
 // JunctionCache memoizes the drain and source depletion-capacitance
 // evaluations of one device instance, each keyed by the exact reverse-bias
 // bits of its last call. Like ThresholdCache it must be private to one
@@ -40,8 +31,12 @@ type jcEntry struct {
 	c     float64
 }
 
-// CapacitancesCached is Capacitances with optional memos (nil is valid for
-// either). vtc caches the body-effect threshold chain — the expression is
+// CapacitancesCached evaluates the charge model at the given terminal
+// voltages (relative to the source). The intrinsic Meyer partition is
+// blended smoothly between cutoff, triode, and saturation with logistic
+// weights so the per-step capacitance linearization in the transient
+// solver never sees discontinuities. Both memos are optional (nil is
+// valid for either). vtc caches the body-effect threshold chain — the expression is
 // identical to the DC model's, so one cache can be shared with EvalCached.
 // jc caches the two junction evaluations, whose reverse-bias arguments are
 // constant for any device whose source or drain is tied to a rail.

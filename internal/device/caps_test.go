@@ -12,7 +12,7 @@ func TestCapacitancesRegions(t *testing.T) {
 	ovl := m.P.CGDO * m.W
 
 	// Cutoff: intrinsic gate cap appears gate-bulk; gs/gd reduce to overlap.
-	off := m.Capacitances(0, 1.2, 0)
+	off := m.CapacitancesCached(nil, nil, 0, 1.2, 0)
 	if off.CGB < 0.8*cox {
 		t.Errorf("cutoff CGB = %g, want ≈ %g", off.CGB, cox)
 	}
@@ -21,7 +21,7 @@ func TestCapacitancesRegions(t *testing.T) {
 	}
 
 	// Saturation: CGS ≈ 2/3·Cox + overlap, CGD ≈ overlap.
-	sat := m.Capacitances(1.2, 1.2, 0)
+	sat := m.CapacitancesCached(nil, nil, 1.2, 1.2, 0)
 	if math.Abs(sat.CGS-(2.0/3.0*cox+ovl)) > 0.15*cox {
 		t.Errorf("saturation CGS = %g, want ≈ %g", sat.CGS, 2.0/3.0*cox+ovl)
 	}
@@ -30,7 +30,7 @@ func TestCapacitancesRegions(t *testing.T) {
 	}
 
 	// Triode: both sides ≈ Cox/2 + overlap.
-	tri := m.Capacitances(1.2, 0, 0)
+	tri := m.CapacitancesCached(nil, nil, 1.2, 0, 0)
 	if math.Abs(tri.CGS-(0.5*cox+ovl)) > 0.15*cox {
 		t.Errorf("triode CGS = %g, want ≈ %g", tri.CGS, 0.5*cox+ovl)
 	}
@@ -43,8 +43,8 @@ func TestCapacitancesSwapSymmetry(t *testing.T) {
 	m := nmos1u()
 	// At vds<0 the roles of source and drain exchange: CGS/CGD and CDB/CSB
 	// must swap relative to the mirrored positive-vds evaluation.
-	a := m.Capacitances(0.9, 0.6, 0)
-	b := m.Capacitances(0.9-0.6, -0.6, -0.6)
+	a := m.CapacitancesCached(nil, nil, 0.9, 0.6, 0)
+	b := m.CapacitancesCached(nil, nil, 0.9-0.6, -0.6, -0.6)
 	if math.Abs(a.CGS-b.CGD) > 1e-18 || math.Abs(a.CGD-b.CGS) > 1e-18 {
 		t.Errorf("gate cap swap asymmetry: %+v vs %+v", a, b)
 	}
@@ -98,7 +98,7 @@ func TestQuickCapBounds(t *testing.T) {
 		if usePmos {
 			m = p
 		}
-		c := m.Capacitances(vgs, vds, vbs)
+		c := m.CapacitancesCached(nil, nil, vgs, vds, vbs)
 		cox := m.CoxTotal()
 		maxGate := cox + (m.P.CGDO+m.P.CGSO)*m.W
 		maxJ := m.junctionCap(-0.5*m.P.PB) * 4 // clamp region upper bound with slack

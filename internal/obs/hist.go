@@ -51,18 +51,6 @@ func BucketIndex(seconds float64) int {
 	return idx
 }
 
-// BucketUpper returns the exclusive upper bound of bucket i in
-// seconds. The overflow bucket reports the table's last bound.
-func BucketUpper(i int) float64 {
-	if i < 0 {
-		i = 0
-	}
-	if i >= numBuckets {
-		i = numBuckets - 1
-	}
-	return bounds[i]
-}
-
 // Observe records one duration in seconds.
 func (h *Histogram) Observe(seconds float64) {
 	h.counts[BucketIndex(seconds)].Add(1)
@@ -83,7 +71,7 @@ func (h *Histogram) Count() int64 {
 // Quantile returns the q-quantile as the upper bound (seconds) of the
 // bucket holding the nearest-rank sample: for n observations, the
 // ⌈q·n⌉-th smallest. It is exact with respect to the bucketing — a
-// sort-the-samples reference mapped through BucketUpper(BucketIndex(s))
+// sort-the-samples reference mapped through the bucket's upper bound
 // gives the identical answer. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	n := h.total.Load()

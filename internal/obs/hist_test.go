@@ -32,26 +32,39 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
+// bucketUpper returns the exclusive upper bound of bucket i in seconds,
+// the oracle of BucketIndex. The overflow bucket reports the table's last
+// bound.
+func bucketUpper(i int) float64 {
+	if i < 0 {
+		i = 0
+	}
+	if i >= numBuckets {
+		i = numBuckets - 1
+	}
+	return bounds[i]
+}
+
 func TestBucketIndexUpperConsistency(t *testing.T) {
 	// Every finite positive sample must satisfy
-	// BucketUpper(i-1) <= s < BucketUpper(i): the two functions share
+	// bucketUpper(i-1) <= s < bucketUpper(i): the two functions share
 	// one bound table, so no floating-point disagreement is possible.
 	rng := rand.New(rand.NewSource(42))
 	for n := 0; n < 20000; n++ {
 		s := math.Pow(10, -7+8*rng.Float64()) // 1e-7 .. 1e1 seconds
 		i := BucketIndex(s)
-		if i < numBuckets-1 && s >= BucketUpper(i) {
-			t.Fatalf("sample %v >= upper bound %v of its bucket %d", s, BucketUpper(i), i)
+		if i < numBuckets-1 && s >= bucketUpper(i) {
+			t.Fatalf("sample %v >= upper bound %v of its bucket %d", s, bucketUpper(i), i)
 		}
-		if i > 0 && s < BucketUpper(i-1) {
-			t.Fatalf("sample %v < lower bound %v of its bucket %d", s, BucketUpper(i-1), i)
+		if i > 0 && s < bucketUpper(i-1) {
+			t.Fatalf("sample %v < lower bound %v of its bucket %d", s, bucketUpper(i-1), i)
 		}
 	}
-	if got := BucketUpper(-5); got != bounds[0] {
-		t.Errorf("BucketUpper(-5) = %v, want clamp to %v", got, bounds[0])
+	if got := bucketUpper(-5); got != bounds[0] {
+		t.Errorf("bucketUpper(-5) = %v, want clamp to %v", got, bounds[0])
 	}
-	if got := BucketUpper(numBuckets + 5); got != bounds[numBuckets-1] {
-		t.Errorf("BucketUpper(out of range) = %v, want clamp to %v", got, bounds[numBuckets-1])
+	if got := bucketUpper(numBuckets + 5); got != bounds[numBuckets-1] {
+		t.Errorf("bucketUpper(out of range) = %v, want clamp to %v", got, bounds[numBuckets-1])
 	}
 }
 
@@ -97,7 +110,7 @@ func TestQuantilePropertyVsSort(t *testing.T) {
 			if rank > n {
 				rank = n
 			}
-			want := BucketUpper(BucketIndex(samples[rank-1]))
+			want := bucketUpper(BucketIndex(samples[rank-1]))
 			if got := h.Quantile(q); got != want {
 				t.Fatalf("seed %d n %d q %v: Quantile = %v, want %v (rank sample %v)",
 					seed, n, q, got, want, samples[rank-1])
@@ -115,7 +128,7 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty Snapshot = %+v, want zeros", s)
 	}
 	h.Observe(3e-3)
-	want := BucketUpper(BucketIndex(3e-3))
+	want := bucketUpper(BucketIndex(3e-3))
 	for _, q := range []float64{0, 0.5, 1} {
 		if got := h.Quantile(q); got != want {
 			t.Errorf("single-sample Quantile(%v) = %v, want %v", q, got, want)

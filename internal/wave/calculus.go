@@ -21,14 +21,3 @@ func (w Waveform) Derivative() Waveform {
 	}
 	return Waveform{T: ts, V: vs}
 }
-
-// Energy returns ∫v² dt over the waveform's span — useful as a crude
-// signal-activity metric.
-func (w Waveform) Energy() float64 {
-	var acc float64
-	for k := 1; k < w.Len(); k++ {
-		v2 := 0.5 * (w.V[k]*w.V[k] + w.V[k-1]*w.V[k-1])
-		acc += v2 * (w.T[k] - w.T[k-1])
-	}
-	return acc
-}

@@ -60,13 +60,6 @@ func TestIntegralOfConstant(t *testing.T) {
 	}
 }
 
-func TestEnergy(t *testing.T) {
-	// v = 1 over 2s → energy 2.
-	if got := Constant(1, 0, 2).Energy(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("energy = %g, want 2", got)
-	}
-}
-
 // Property: the derivative of the integral reproduces the original values
 // (interior samples, smooth inputs).
 func TestQuickDerivativeIntegralRoundtrip(t *testing.T) {
@@ -130,15 +123,5 @@ func TestIntegralNonUniformGrid(t *testing.T) {
 	}
 	if in.V[0] != 0 {
 		t.Errorf("integral must start at zero, got %g", in.V[0])
-	}
-}
-
-// TestEnergyEdgeCases: empty and single-sample waveforms carry no energy.
-func TestEnergyEdgeCases(t *testing.T) {
-	if got := (Waveform{}).Energy(); got != 0 {
-		t.Errorf("empty energy = %g", got)
-	}
-	if got := (Waveform{T: []float64{1}, V: []float64{5}}).Energy(); got != 0 {
-		t.Errorf("single-sample energy = %g", got)
 	}
 }

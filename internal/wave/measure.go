@@ -180,24 +180,6 @@ func RMSE(ref, model Waveform, t0, t1 float64, n int) float64 {
 	return math.Sqrt(sum / float64(n))
 }
 
-// MaxAbsDiff returns the maximum absolute difference between two waveforms
-// sampled uniformly (n points) over [t0, t1], and the time at which it
-// occurs.
-func MaxAbsDiff(a, b Waveform, t0, t1 float64, n int) (maxDiff, atTime float64) {
-	if n < 2 || t1 <= t0 {
-		return 0, t0
-	}
-	dt := (t1 - t0) / float64(n-1)
-	for i := 0; i < n; i++ {
-		t := t0 + float64(i)*dt
-		d := math.Abs(a.At(t) - b.At(t))
-		if d > maxDiff {
-			maxDiff, atTime = d, t
-		}
-	}
-	return maxDiff, atTime
-}
-
 // Extremum scans [t0, t1] on the waveform's own samples (plus the window
 // edges) and returns the minimum and maximum values in the window.
 func (w Waveform) Extremum(t0, t1 float64) (min, max float64) {

@@ -152,15 +152,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	a := MustNew([]float64{0, 1, 2}, []float64{0, 1, 0})
-	b := Constant(0, 0, 2)
-	d, at := MaxAbsDiff(a, b, 0, 2, 201)
-	if math.Abs(d-1) > 1e-9 || math.Abs(at-1) > 0.02 {
-		t.Errorf("MaxAbsDiff = %g at %g", d, at)
-	}
-}
-
 func TestExtremumAndPeak(t *testing.T) {
 	w := MustNew([]float64{0, 1, 2, 3}, []float64{0, 3, -1, 0})
 	min, max := w.Extremum(0, 3)
