@@ -231,6 +231,8 @@ func TestAdaptiveLoopOracle(t *testing.T) {
 	seeded.DtInit = 7e-12
 	rampOpt := AdaptiveOptions{DtMin: 0.5e-12, DtMax: 16e-12, MaxDV: 1.2 / 24, DtInit: 3e-12}
 	coarse := AdaptiveOptions{DtMin: 40e-12, DtMax: 320e-12, MaxDV: 0.06}
+	unbounded := def // a NaN DtMax never clamps the step
+	unbounded.DtMax = math.NaN()
 	circuits := map[string]func(Options) *Engine{
 		"RC":       func(o Options) *Engine { return buildRC(o, 0.3e-9) },
 		"inverter": func(o Options) *Engine { e, _ := buildInverter(o); return e },
@@ -249,6 +251,7 @@ func TestAdaptiveLoopOracle(t *testing.T) {
 		{"MaxIter 2", iters(2), def},
 		{"MaxIter 2, backward Euler", func() Options { o := iters(2); o.Method = BackwardEuler; return o }(), def},
 		{"MaxIter 5, coarse steps", iters(5), coarse},
+		{"NaN DtMax", DefaultOptions(), unbounded},
 		{"MaxIter 1", iters(1), def},
 		{"MaxIter 1, backward Euler", func() Options { o := iters(1); o.Method = BackwardEuler; return o }(), def},
 	}

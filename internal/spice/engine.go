@@ -507,7 +507,9 @@ func (e *Engine) run(x0 []float64, g *Grid, done func(*Result) bool, publish fun
 				break
 			}
 			if g.dv != nil {
-				h = max(h*shrinkBy, g.dv.DtMin)
+				if h *= shrinkBy; h < g.dv.DtMin {
+					h = g.dv.DtMin
+				}
 				tEnd = t + h
 			}
 			if err != nil && (g.dv == nil || h <= g.dv.DtMin*1.0000001) {
@@ -538,7 +540,9 @@ func (e *Engine) run(x0 []float64, g *Grid, done func(*Result) bool, publish fun
 		t = ctx.Time
 		res.record(t, ctx.X)
 		if g.dv != nil {
-			h = min(h*growBy, g.dv.DtMax)
+			if h *= growBy; h > g.dv.DtMax {
+				h = g.dv.DtMax
+			}
 		}
 		if done != nil && done(res) {
 			break

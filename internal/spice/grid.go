@@ -70,7 +70,14 @@ func NewAdaptive(start, stop float64, opt AdaptiveOptions) (*Grid, error) {
 	if opt.DtInit <= 0 {
 		opt.DtInit = opt.DtMin * 4
 	}
-	opt.DtInit = min(max(opt.DtInit, opt.DtMin), opt.DtMax)
+	// The clamps compare instead of calling min and max, which would
+	// turn a NaN bound into a NaN step.
+	if opt.DtInit < opt.DtMin {
+		opt.DtInit = opt.DtMin
+	}
+	if opt.DtInit > opt.DtMax {
+		opt.DtInit = opt.DtMax
+	}
 	return &Grid{start: start, stop: stop, steps: MaxSteps, dv: &opt}, nil
 }
 
