@@ -29,11 +29,11 @@ type Cell struct {
 	vnAux int // absolute unknown index of VN (KindMCSM)
 
 	// Table lookups, each group located once per evaluation point: the
-	// current sources (Io, then IN for KindMCSM) at every Newton
-	// assembly, the capacitances at every step start.
+	// current sources (Io, then IN for KindMCSM) with their gradients at
+	// every Newton assembly, the capacitances at every step start.
 	currents tableGroup
 	caps     tableGroup
-	capDst   []*float64 // capDst[k] receives caps table k
+	io, iN   float64
 	gradIo   []float64
 	gradIN   []float64
 
@@ -56,50 +56,57 @@ type Cell struct {
 }
 
 // tableGroup evaluates a fixed list of same-rank tables at one coordinate
-// vector, locating the vector once per distinct grid: tables whose axes
-// are bit-identical (table.SameGrid) share a cursor, and a table on a
-// grid of its own gets its own. Sharing is exact — a cursor's lookups
-// equal per-table At/Grad bit for bit — so grouping never changes a value.
+// vector into fixed destinations, locating the vector once per distinct
+// grid: the tables whose axes are bit-identical (table.SameGrid) share a
+// cursor and one table.Eval, and a table on a grid of its own gets its
+// own. Sharing is exact — Eval's outputs equal one-table lookups bit for
+// bit — so grouping never changes a value.
 type tableGroup struct {
-	tables  []*table.Table
-	cursor  []int          // tables[k] reads cursors[cursor[k]]
-	leads   []*table.Table // leads[g] is the table cursors[g] seeks on
-	cursors []table.Cursor
+	grids []tableGrid
 }
 
-func newTableGroup(tables ...*table.Table) tableGroup {
-	g := tableGroup{tables: tables, cursor: make([]int, len(tables))}
+// tableGrid is one cursor of a tableGroup and the tables read through it.
+type tableGrid struct {
+	cursor table.Cursor
+	tables []*table.Table
+	vals   []float64   // Eval's values, one per table
+	dst    []*float64  // dst[j] receives tables[j]'s value
+	grads  [][]float64 // tables[j]'s gradient buffer; nil when only values are read
+}
+
+// newTableGroup groups tables by grid: table k's value goes to dst[k] and,
+// when grads is not nil, its gradient to grads[k].
+func newTableGroup(tables []*table.Table, dst []*float64, grads [][]float64) tableGroup {
+	var g tableGroup
 	for k, t := range tables {
-		g.cursor[k] = len(g.leads)
-		for j, lead := range g.leads {
-			if table.SameGrid(lead, t) {
-				g.cursor[k] = j
-				break
-			}
+		i := 0
+		for i < len(g.grids) && !table.SameGrid(g.grids[i].tables[0], t) {
+			i++
 		}
-		if g.cursor[k] == len(g.leads) {
-			g.leads = append(g.leads, t)
+		if i == len(g.grids) {
+			g.grids = append(g.grids, tableGrid{})
+		}
+		gr := &g.grids[i]
+		gr.tables = append(gr.tables, t)
+		gr.vals = append(gr.vals, 0)
+		gr.dst = append(gr.dst, dst[k])
+		if grads != nil {
+			gr.grads = append(gr.grads, grads[k])
 		}
 	}
-	g.cursors = make([]table.Cursor, len(g.leads))
 	return g
 }
 
-// seek locates coords on every distinct grid of the group.
-func (g *tableGroup) seek(coords []float64) {
-	for j, lead := range g.leads {
-		lead.Seek(&g.cursors[j], coords)
+// eval evaluates every table of the group at coords.
+func (g *tableGroup) eval(coords []float64) {
+	for i := range g.grids {
+		gr := &g.grids[i]
+		gr.tables[0].Seek(&gr.cursor, coords)
+		table.Eval(&gr.cursor, gr.tables, gr.vals, gr.grads)
+		for j, d := range gr.dst {
+			*d = gr.vals[j]
+		}
 	}
-}
-
-// value evaluates table k at the last seeked point.
-func (g *tableGroup) value(k int) float64 {
-	return g.tables[k].Value(&g.cursors[g.cursor[k]])
-}
-
-// valueGrad evaluates table k and its gradient at the last seeked point.
-func (g *tableGroup) valueGrad(k int, grad []float64) float64 {
-	return g.tables[k].ValueGrad(&g.cursors[g.cursor[k]], grad)
 }
 
 // auxCap integrates a capacitive branch between a circuit node and the
@@ -177,19 +184,20 @@ func NewCell(name string, m *Model, inputs []spice.Node, out spice.Node, receive
 		coordBuf:         make([]float64, 0, rank),
 		vnInit:           m.Vdd / 2,
 	}
-	currents := []*table.Table{m.Io}
+	currents, curDst, curGrad := []*table.Table{m.Io}, []*float64{&c.io}, [][]float64{c.gradIo}
 	var caps []*table.Table
+	var capDst []*float64
 	addCap := func(t *table.Table, dst *float64) {
 		caps = append(caps, t)
-		c.capDst = append(c.capDst, dst)
+		capDst = append(capDst, dst)
 	}
 	for i, t := range m.Cm {
 		addCap(t, &c.cmVal[i])
 	}
 	addCap(m.Co, &c.coVal)
 	if m.Kind == KindMCSM {
-		currents = append(currents, m.IN)
 		c.gradIN = make([]float64, rank)
+		currents, curDst, curGrad = append(currents, m.IN), append(curDst, &c.iN), append(curGrad, c.gradIN)
 		addCap(m.CN, &c.cnVal)
 	}
 	if m.HasInternalMiller() {
@@ -198,8 +206,8 @@ func NewCell(name string, m *Model, inputs []spice.Node, out spice.Node, receive
 		}
 		addCap(m.CmNO, &c.cmNOVal)
 	}
-	c.currents = newTableGroup(currents...)
-	c.caps = newTableGroup(caps...)
+	c.currents = newTableGroup(currents, curDst, curGrad)
+	c.caps = newTableGroup(caps, capDst, nil)
 	return c, nil
 }
 
@@ -254,10 +262,7 @@ func nodeV(x []float64, n spice.Node) float64 {
 
 // BeginStep freezes the capacitance tables at the start-of-step point.
 func (c *Cell) BeginStep(ctx *spice.Context) {
-	c.caps.seek(c.coords(ctx.Xprev))
-	for k, dst := range c.capDst {
-		*dst = c.caps.value(k)
-	}
+	c.caps.eval(c.coords(ctx.Xprev))
 	if c.withReceiverCaps {
 		for i, n := range c.inputs {
 			c.cinVal[i] = c.model.CIn[i].At(ctx.Vprev(n))
@@ -279,12 +284,12 @@ func (c *Cell) unknownOf(k int) int {
 // Stamp adds the linearized current sources and the capacitive branches.
 func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 	coords := c.coords(ctx.X)
-	c.currents.seek(coords)
+	c.currents.eval(coords)
 	outIdx := int(c.out) - 1
 
 	// Output current source: the cell injects Io into the output node, so
 	// the current *leaving* the node into the element is −Io.
-	io := c.currents.valueGrad(0, c.gradIo)
+	io := c.io
 	lin := 0.0
 	for k, g := range c.gradIo {
 		sys.AddA(outIdx, c.unknownOf(k), -g)
@@ -296,7 +301,7 @@ func (c *Cell) Stamp(sys *spice.System, ctx *spice.Context) {
 		// Internal node equation (implicit Eq. 5): CN·dVN/dt − IN(V) = 0,
 		// plus a gmin-scale leak mirroring the engine's node treatment.
 		row := c.vnAux
-		iN := c.currents.valueGrad(1, c.gradIN)
+		iN := c.iN
 		linN := 0.0
 		for k, g := range c.gradIN {
 			sys.AddA(row, c.unknownOf(k), -g)

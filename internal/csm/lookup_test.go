@@ -118,10 +118,10 @@ func TestCellLookupsMatchPerTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		cell.SetAuxBase(3)
-		if got := len(cell.currents.leads); got != tc.currents {
+		if got := len(cell.currents.grids); got != tc.currents {
 			t.Errorf("%s: current tables on %d cursors, want %d", tc.name, got, tc.currents)
 		}
-		if got := len(cell.caps.leads); got != tc.caps {
+		if got := len(cell.caps.grids); got != tc.caps {
 			t.Errorf("%s: cap tables on %d cursors, want %d", tc.name, got, tc.caps)
 		}
 		pts := m.Io.Axes[0].Points

@@ -190,6 +190,26 @@ func TestAdaptiveValidation(t *testing.T) {
 	if _, err := NewAdaptive(0, 1e-9, bad); err == nil {
 		t.Error("DtMax below DtMin accepted")
 	}
+	// A NaN or infinite window end or option fails as FixedSteps fails
+	// on a NaN step or window. A NaN DtMin or stop used to return a
+	// one-point record, and a NaN DtMax or DtInit an uncapped or NaN step.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		fields := map[string]func(start, stop *float64, o *AdaptiveOptions){
+			"start":  func(start, _ *float64, _ *AdaptiveOptions) { *start = v },
+			"stop":   func(_, stop *float64, _ *AdaptiveOptions) { *stop = v },
+			"DtMin":  func(_, _ *float64, o *AdaptiveOptions) { o.DtMin = v },
+			"DtMax":  func(_, _ *float64, o *AdaptiveOptions) { o.DtMax = v },
+			"MaxDV":  func(_, _ *float64, o *AdaptiveOptions) { o.MaxDV = v },
+			"DtInit": func(_, _ *float64, o *AdaptiveOptions) { o.DtInit = v },
+		}
+		for name, set := range fields {
+			start, stop, opt := 0.0, 1e-9, DefaultAdaptive()
+			set(&start, &stop, &opt)
+			if _, err := NewAdaptive(start, stop, opt); err == nil || err.Error() != "spice: invalid adaptive window/steps" {
+				t.Errorf("%s = %v: NewAdaptive error %v, want the invalid window/steps error", name, v, err)
+			}
+		}
+	}
 	c := NewCircuit()
 	n := c.Node("n")
 	c.AddVSource("V", n, Ground, DC(1))

@@ -59,8 +59,15 @@ func DefaultAdaptive() AdaptiveOptions {
 // retried at half the length, down to DtMin; each accepted step lets the
 // next grow toward DtMax. The run records its accepted, non-uniform time
 // points and fails once it has taken MaxSteps steps. NewAdaptive fails
-// on an empty window, a DtMin that is not positive and a DtMax below it.
+// on a NaN or infinite window end or option, an empty window, a DtMin
+// that is not positive and a DtMax below it, as FixedSteps fails on a
+// NaN step or window.
 func NewAdaptive(start, stop float64, opt AdaptiveOptions) (*Grid, error) {
+	for _, v := range [...]float64{start, stop, opt.DtMin, opt.DtMax, opt.MaxDV, opt.DtInit} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("spice: invalid adaptive window/steps")
+		}
+	}
 	if opt.DtMin <= 0 || opt.DtMax < opt.DtMin || stop <= start {
 		return nil, fmt.Errorf("spice: invalid adaptive window/steps")
 	}
@@ -70,14 +77,7 @@ func NewAdaptive(start, stop float64, opt AdaptiveOptions) (*Grid, error) {
 	if opt.DtInit <= 0 {
 		opt.DtInit = opt.DtMin * 4
 	}
-	// The clamps compare instead of calling min and max, which would
-	// turn a NaN bound into a NaN step.
-	if opt.DtInit < opt.DtMin {
-		opt.DtInit = opt.DtMin
-	}
-	if opt.DtInit > opt.DtMax {
-		opt.DtInit = opt.DtMax
-	}
+	opt.DtInit = min(max(opt.DtInit, opt.DtMin), opt.DtMax)
 	return &Grid{start: start, stop: stop, steps: MaxSteps, dv: &opt}, nil
 }
 

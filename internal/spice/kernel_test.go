@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,6 +189,236 @@ func TestSolveKernelsEdgeCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stagePattern6 is the sparsity pattern solve6Stage is generated for
+// (gen_solve.go), one string per row of A, 'X' where an entry may be
+// nonzero: the input A, input B and output nodes, the two input sources'
+// branch currents, and the internal node VN of a two-input MCSM stage.
+// TestStageKernelPattern checks that the kernel declines every entry off it.
+var stagePattern6 = [6]string{"X.XX.X", ".XX.XX", "XXX..X", "X.....", ".X....", "XXX..X"}
+
+// patternSystem draws a system on stagePattern6. Magnitudes span mag
+// decades and signs are random; a tenth of the entries is exactly 0. A
+// stage-like system keeps every magnitude at most 1, puts ±1 at the
+// sources' entries (as MNA does) and makes a22 its row's largest entry,
+// so it mostly takes the listed pivots; otherwise magnitudes center on 1.
+func patternSystem(rng *rand.Rand, mag float64, stageLike bool) *System {
+	s := NewSystem(6)
+	for i, row := range stagePattern6 {
+		for j := range row {
+			if row[j] != 'X' || rng.Intn(10) == 0 {
+				continue
+			}
+			e := rng.Float64() - 0.5
+			if stageLike {
+				e = -rng.Float64()
+			}
+			v := math.Pow(10, mag*e)
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			s.A[i*6+j] = v
+		}
+		s.B[i] = rng.NormFloat64() * math.Pow(10, mag*(rng.Float64()-0.5))
+	}
+	if stageLike {
+		for _, k := range []int{0*6 + 3, 1*6 + 4, 3*6 + 0, 4*6 + 1} {
+			s.A[k] = float64(1 - 2*rng.Intn(2))
+		}
+		s.A[2*6+2] = 1 + rng.Float64()
+	}
+	return s
+}
+
+// stageOracle runs solveOracle on a 6-unknown system and reports whether
+// solve6Stage took it. A declined system must leave the workspace as it
+// found it, since SolveWith then hands the same workspace to solve6.
+func stageOracle(t *testing.T, what string, sys *System) bool {
+	t.Helper()
+	ws := NewSolveWorkspace(6)
+	f := &ws.fact
+	for _, buf := range [][]float64{ws.af, ws.x, f.l, f.scale} {
+		for i := range buf {
+			buf[i] = 42
+		}
+	}
+	for i := range f.perm {
+		f.perm[i] = 42
+	}
+	f.minPivot, f.minPivotCol = 42, 42
+	_, took := sys.solve6Stage(ws)
+	if !took {
+		for _, buf := range [][]float64{ws.af, ws.x, f.l, f.scale} {
+			for i, v := range buf {
+				if v != 42 {
+					t.Fatalf("%s: declined system wrote %v into a workspace buffer at %d", what, v, i)
+				}
+			}
+		}
+		for _, p := range f.perm {
+			if p != 42 {
+				t.Fatalf("%s: declined system wrote the permutation", what)
+			}
+		}
+		if f.minPivot != 42 || f.minPivotCol != 42 || f.a != nil {
+			t.Fatalf("%s: declined system wrote the factor header", what)
+		}
+	}
+	solveOracle(t, what, sys)
+	return took
+}
+
+// TestStageKernelPattern: solve6Stage takes stage-like systems on its
+// pattern and declines every one with a single entry off it, whatever
+// that entry's sign.
+func TestStageKernelPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	took := 0
+	for k := 0; k < 200; k++ {
+		sys := patternSystem(rng, 12, true)
+		if stageOracle(t, "stage-like", sys) {
+			took++
+		}
+		for i, row := range stagePattern6 {
+			for j := range row {
+				if row[j] == 'X' {
+					continue
+				}
+				off := NewSystem(6)
+				copy(off.A, sys.A)
+				copy(off.B, sys.B)
+				off.A[i*6+j] = rng.NormFloat64()
+				if stageOracle(t, fmt.Sprintf("entry (%d, %d) off the pattern", i, j), off) {
+					t.Fatalf("solve6Stage took a system with A[%d][%d] = %v, off its pattern", i, j, off.A[i*6+j])
+				}
+			}
+		}
+	}
+	if took < 180 {
+		t.Errorf("solve6Stage took %d of 200 stage-like systems, want at least 180", took)
+	}
+}
+
+// TestStageKernelOracle: on random systems drawn on solve6Stage's pattern
+// (0 to 24 decades, some entries exactly 0, random signs) and on edits
+// that reach each of its exits, SolveWith equals the generic loops in
+// solution, error text and every factor, whether the pattern kernel or
+// the dense one answers.
+func TestStageKernelOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	took, stageTook, total := 0, 0, 0
+	run := func(what string, sys *System) bool {
+		total++
+		ok := stageOracle(t, what, sys)
+		if ok {
+			took++
+		}
+		return ok
+	}
+	for _, mag := range []float64{0, 6, 14, 24} {
+		for k := 0; k < 300; k++ {
+			run("random", patternSystem(rng, mag, false))
+			if run("stage-like", patternSystem(rng, mag, true)) {
+				stageTook++
+			}
+		}
+	}
+	// At 0 decades every entry is ±1, so rows tie and decline; the other
+	// 900 stage-like systems mostly take the listed pivots.
+	if stageTook < 800 {
+		t.Errorf("solve6Stage took %d of 1200 random stage-like systems, want at least 800", stageTook)
+	}
+	// onPattern lists the flat indices of the pattern's entries.
+	var onPattern, offPattern []int
+	for i, row := range stagePattern6 {
+		for j := range row {
+			if row[j] == 'X' {
+				onPattern = append(onPattern, i*6+j)
+			} else {
+				offPattern = append(offPattern, i*6+j)
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	edits := []struct {
+		what    string
+		decline bool // the pattern kernel must decline every such system
+		edit    func(s *System)
+	}{
+		{"-0 on the pattern", false, func(s *System) { s.A[onPattern[rng.Intn(len(onPattern))]] = negZero }},
+		{"-0 off the pattern", true, func(s *System) { s.A[offPattern[rng.Intn(len(offPattern))]] = negZero }},
+		{"-0 in B", true, func(s *System) { s.B[rng.Intn(6)] = negZero }},
+		{"B equilibrated to -0", true, func(s *System) {
+			// Row 3 scales by 1/4, so its right-hand side, the smallest
+			// negative subnormal, underflows to −0 at pivot position 0,
+			// whose U row is all structural zeros.
+			s.A[3*6+0], s.B[3] = 4, -math.SmallestNonzeroFloat64
+			for j := 1; j < 6; j++ {
+				s.B[j] = -math.Abs(s.B[j]) // negative unknowns make a skipped −(+0·x) a +0
+			}
+		}},
+		{"NaN in A", true, func(s *System) { s.A[onPattern[rng.Intn(len(onPattern))]] = math.NaN() }},
+		{"+Inf in A", true, func(s *System) { s.A[onPattern[rng.Intn(len(onPattern))]] = math.Inf(1) }},
+		{"-Inf in A", true, func(s *System) { s.A[onPattern[rng.Intn(len(onPattern))]] = math.Inf(-1) }},
+		{"NaN off the pattern", true, func(s *System) { s.A[offPattern[rng.Intn(len(offPattern))]] = math.NaN() }},
+		{"NaN in B", true, func(s *System) { s.B[rng.Intn(6)] = math.NaN() }},
+		{"+Inf in B", true, func(s *System) { s.B[rng.Intn(6)] = math.Inf(1) }},
+		{"-Inf in B", true, func(s *System) { s.B[rng.Intn(6)] = math.Inf(-1) }},
+		{"subnormal row maximum", true, func(s *System) {
+			i := rng.Intn(6)
+			for j := 0; j < 6; j++ {
+				s.A[i*6+j] *= 1e-310
+			}
+		}},
+		{"column 0 tie with an earlier candidate", true, func(s *System) {
+			s.A[0*6+0] = math.Abs(s.A[0*6+3]) // row 0 scales to 1, as the source row 3 does
+		}},
+		{"column 1 tie with an earlier candidate", true, func(s *System) {
+			s.A[1*6+1] = -math.Abs(s.A[1*6+4])
+		}},
+		{"column 2 tie with a later candidate", false, func(s *System) {
+			// Row 0's entry scales to exactly a22's scaled magnitude; the
+			// listed row 2 comes first and keeps the pivot.
+			s.A[0*6+2] = s.A[2*6+2] / absRowMax(s, 2) * absRowMax(s, 0)
+		}},
+		{"pivot below 1e-300", true, func(s *System) {
+			// Every column-2 candidate scales below 1e-300 against its
+			// row's unit entry.
+			s.A[2*6+5], s.A[5*6+5] = 1, 1
+			for _, i := range []int{0, 1, 2, 5} {
+				s.A[i*6+2] *= 1e-305
+			}
+		}},
+		{"column 3 pivot below 1e-300", true, func(s *System) {
+			s.A[0*6+5], s.A[0*6+3] = 1, 1e-302
+		}},
+		{"one entry off the pattern", true, func(s *System) { s.A[offPattern[rng.Intn(len(offPattern))]] = rng.NormFloat64() }},
+	}
+	for _, e := range edits {
+		edited := 0
+		for k := 0; k < 60; k++ {
+			sys := patternSystem(rng, float64(rng.Intn(25)), true)
+			e.edit(sys)
+			if run(e.what, sys) {
+				edited++
+			}
+		}
+		if e.decline && edited > 0 {
+			t.Errorf("%s: solve6Stage took %d of 60 systems, want none", e.what, edited)
+		}
+		t.Logf("%s: solve6Stage took %d of 60", e.what, edited)
+	}
+	t.Logf("solve6Stage took %d of %d systems; SolveWith equals the generic loops on all", took, total)
+}
+
+// absRowMax is the largest magnitude in row i of s.
+func absRowMax(s *System, i int) float64 {
+	m := 0.0
+	for _, v := range s.A[i*s.N : (i+1)*s.N] {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
 }
 
 // TestSolveKernelChordNewton runs chord Newton (JacobianLag > 0) on a

@@ -611,6 +611,332 @@ func (s *System) solve6(ws *SolveWorkspace) ([]float64, error) {
 	return ws.x, nil
 }
 
+// solve6Stage is solve6 for the sparsity pattern and pivot order of a
+// two-input MCSM stage's system (see gen_solve.go): unknowns 0-2 are
+// the input A, input B and output nodes, 3-4 the two input sources'
+// branch currents and 5 the cell's internal node VN.
+// The pattern's rows ('X' where an entry may be nonzero), and the
+// pivot rows by column:
+//
+//	X.XX.X  .XX.XX  XXX..X  X.....  .X....  XXX..X
+//	3 4 2 0 1 5
+//
+// It performs those operations of solve6 whose operands are not
+// structural zeros, in the same order, and leaves the same factors in
+// ws.fact. It reports false, leaving ws untouched, when an entry off the
+// pattern is not +0, a row scale is not finite, a value that a skipped
+// subtraction would touch is −0, a pivot is not the listed row or is
+// below 1e-300, or the solution is not finite: solve6 then decides.
+func (s *System) solve6Stage(ws *SolveWorkspace) ([]float64, bool) {
+	A, B := (*[36]float64)(s.A), (*[6]float64)(s.B)
+	if math.Float64bits(A[1])|math.Float64bits(A[4])|math.Float64bits(A[6])|math.Float64bits(A[9])|math.Float64bits(A[15])|math.Float64bits(A[16])|math.Float64bits(A[19])|math.Float64bits(A[20])|math.Float64bits(A[21])|math.Float64bits(A[22])|math.Float64bits(A[23])|math.Float64bits(A[24])|math.Float64bits(A[26])|math.Float64bits(A[27])|math.Float64bits(A[28])|math.Float64bits(A[29])|math.Float64bits(A[33])|math.Float64bits(A[34]) != 0 {
+		return nil, false
+	}
+	if negZero(B[0]) || negZero(B[1]) || negZero(B[2]) || negZero(B[3]) || negZero(B[4]) || negZero(B[5]) {
+		return nil, false
+	}
+	a00, a02, a03, a05 := A[0], A[2], A[3], A[5]
+	a11, a12, a14, a15 := A[7], A[8], A[10], A[11]
+	a20, a21, a22, a25 := A[12], A[13], A[14], A[17]
+	a30 := A[18]
+	a41 := A[25]
+	a50, a51, a52, a55 := A[30], A[31], A[32], A[35]
+	var l00, l02, l05, l11, l12, l15, l20, l21, l25 float64
+	var sc0, sc1, sc2, sc3, sc4, sc5 float64
+	if m := absMax(absMax(absMax(absMax(0.0, a00), a02), a03), a05); m > 0 {
+		sc0 = 1 / m
+	} else {
+		sc0 = 1
+	}
+	if sc0 != 1 {
+		a00, a02, a03, a05 = a00*sc0, a02*sc0, a03*sc0, a05*sc0
+	}
+	if m := absMax(absMax(absMax(absMax(0.0, a11), a12), a14), a15); m > 0 {
+		sc1 = 1 / m
+	} else {
+		sc1 = 1
+	}
+	if sc1 != 1 {
+		a11, a12, a14, a15 = a11*sc1, a12*sc1, a14*sc1, a15*sc1
+	}
+	if m := absMax(absMax(absMax(absMax(0.0, a20), a21), a22), a25); m > 0 {
+		sc2 = 1 / m
+	} else {
+		sc2 = 1
+	}
+	if sc2 != 1 {
+		a20, a21, a22, a25 = a20*sc2, a21*sc2, a22*sc2, a25*sc2
+	}
+	if m := absMax(0.0, a30); m > 0 {
+		sc3 = 1 / m
+	} else {
+		sc3 = 1
+	}
+	if sc3 != 1 {
+		a30 = a30 * sc3
+	}
+	if m := absMax(0.0, a41); m > 0 {
+		sc4 = 1 / m
+	} else {
+		sc4 = 1
+	}
+	if sc4 != 1 {
+		a41 = a41 * sc4
+	}
+	if m := absMax(absMax(absMax(absMax(0.0, a50), a51), a52), a55); m > 0 {
+		sc5 = 1 / m
+	} else {
+		sc5 = 1
+	}
+	if sc5 != 1 {
+		a50, a51, a52, a55 = a50*sc5, a51*sc5, a52*sc5, a55*sc5
+	}
+	if sc0 > math.MaxFloat64 || sc1 > math.MaxFloat64 || sc2 > math.MaxFloat64 || sc3 > math.MaxFloat64 || sc4 > math.MaxFloat64 || sc5 > math.MaxFloat64 {
+		return nil, false
+	}
+	if negZero(a02) || negZero(a03) || negZero(a05) || negZero(a12) || negZero(a14) || negZero(a15) || negZero(a21) || negZero(a22) || negZero(a25) || negZero(a51) || negZero(a52) || negZero(a55) {
+		return nil, false
+	}
+	minPivot, minPivotCol := math.Inf(1), -1
+	{
+		p, max := 0, math.Abs(a00)
+		p, max = pivotMax(p, max, 2, a20)
+		p, max = pivotMax(p, max, 3, a30)
+		p, max = pivotMax(p, max, 5, a50)
+		if p != 3 || max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 0
+		}
+		l02 = a20 / a30
+		l00 = a00 / a30
+		l05 = a50 / a30
+	}
+	{
+		p, max := 1, math.Abs(a11)
+		p, max = pivotMax(p, max, 2, a21)
+		p, max = pivotMax(p, max, 4, a41)
+		p, max = pivotMax(p, max, 5, a51)
+		if p != 4 || max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 1
+		}
+		l12 = a21 / a41
+		l11 = a11 / a41
+		l15 = a51 / a41
+	}
+	{
+		p, max := 2, math.Abs(a22)
+		p, max = pivotMax(p, max, 3, a02)
+		p, max = pivotMax(p, max, 4, a12)
+		p, max = pivotMax(p, max, 5, a52)
+		if p != 2 || max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 2
+		}
+		l20 = a02 / a22
+		if l20 != 0 {
+			a05 = a05 - l20*a25
+		}
+		l21 = a12 / a22
+		if l21 != 0 {
+			a15 = a15 - l21*a25
+		}
+		l25 = a52 / a22
+		if l25 != 0 {
+			a55 = a55 - l25*a25
+		}
+	}
+	{
+		max := math.Abs(a03)
+		if max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 3
+		}
+	}
+	{
+		max := math.Abs(a14)
+		if max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 4
+		}
+	}
+	{
+		max := math.Abs(a55)
+		if max < 1e-300 {
+			return nil, false
+		}
+		if max < minPivot {
+			minPivot, minPivotCol = max, 5
+		}
+	}
+	var x0, x1, x2, x3, x4, x5 float64
+	{
+		y0, y1, y2, y3, y4, y5 := B[3]*sc3, B[4]*sc4, B[2]*sc2, B[0]*sc0, B[1]*sc1, B[5]*sc5
+		if negZero(y0) || negZero(y1) || negZero(y2) || negZero(y3) {
+			return nil, false
+		}
+		if l02 != 0 {
+			y2 -= l02 * y0
+		}
+		if l00 != 0 {
+			y3 -= l00 * y0
+		}
+		if l05 != 0 {
+			y5 -= l05 * y0
+		}
+		if l12 != 0 {
+			y2 -= l12 * y1
+		}
+		if l11 != 0 {
+			y4 -= l11 * y1
+		}
+		if l15 != 0 {
+			y5 -= l15 * y1
+		}
+		if l20 != 0 {
+			y3 -= l20 * y2
+		}
+		if l21 != 0 {
+			y4 -= l21 * y2
+		}
+		if l25 != 0 {
+			y5 -= l25 * y2
+		}
+		x5 = y5 / a55
+		x4 = (y4 - a15*x5) / a14
+		x3 = (y3 - a05*x5) / a03
+		x2 = (y2 - a25*x5) / a22
+		x1 = y1 / a41
+		x0 = y0 / a30
+	}
+	{
+		r0 := B[0] - A[0]*x0 - A[2]*x2 - A[3]*x3 - A[5]*x5
+		r1 := B[1] - A[7]*x1 - A[8]*x2 - A[10]*x4 - A[11]*x5
+		r2 := B[2] - A[12]*x0 - A[13]*x1 - A[14]*x2 - A[17]*x5
+		r3 := B[3] - A[18]*x0
+		r4 := B[4] - A[25]*x1
+		r5 := B[5] - A[30]*x0 - A[31]*x1 - A[32]*x2 - A[35]*x5
+		var d0, d1, d2, d3, d4, d5 float64
+		y0, y1, y2, y3, y4, y5 := r3*sc3, r4*sc4, r2*sc2, r0*sc0, r1*sc1, r5*sc5
+		if negZero(y0) || negZero(y1) || negZero(y2) || negZero(y3) {
+			return nil, false
+		}
+		if l02 != 0 {
+			y2 -= l02 * y0
+		}
+		if l00 != 0 {
+			y3 -= l00 * y0
+		}
+		if l05 != 0 {
+			y5 -= l05 * y0
+		}
+		if l12 != 0 {
+			y2 -= l12 * y1
+		}
+		if l11 != 0 {
+			y4 -= l11 * y1
+		}
+		if l15 != 0 {
+			y5 -= l15 * y1
+		}
+		if l20 != 0 {
+			y3 -= l20 * y2
+		}
+		if l21 != 0 {
+			y4 -= l21 * y2
+		}
+		if l25 != 0 {
+			y5 -= l25 * y2
+		}
+		d5 = y5 / a55
+		d4 = (y4 - a15*d5) / a14
+		d3 = (y3 - a05*d5) / a03
+		d2 = (y2 - a25*d5) / a22
+		d1 = y1 / a41
+		d0 = y0 / a30
+		x0, x1, x2, x3, x4, x5 = x0+d0, x1+d1, x2+d2, x3+d3, x4+d4, x5+d5
+	}
+	{
+		r0 := B[0] - A[0]*x0 - A[2]*x2 - A[3]*x3 - A[5]*x5
+		r1 := B[1] - A[7]*x1 - A[8]*x2 - A[10]*x4 - A[11]*x5
+		r2 := B[2] - A[12]*x0 - A[13]*x1 - A[14]*x2 - A[17]*x5
+		r3 := B[3] - A[18]*x0
+		r4 := B[4] - A[25]*x1
+		r5 := B[5] - A[30]*x0 - A[31]*x1 - A[32]*x2 - A[35]*x5
+		var d0, d1, d2, d3, d4, d5 float64
+		y0, y1, y2, y3, y4, y5 := r3*sc3, r4*sc4, r2*sc2, r0*sc0, r1*sc1, r5*sc5
+		if negZero(y0) || negZero(y1) || negZero(y2) || negZero(y3) {
+			return nil, false
+		}
+		if l02 != 0 {
+			y2 -= l02 * y0
+		}
+		if l00 != 0 {
+			y3 -= l00 * y0
+		}
+		if l05 != 0 {
+			y5 -= l05 * y0
+		}
+		if l12 != 0 {
+			y2 -= l12 * y1
+		}
+		if l11 != 0 {
+			y4 -= l11 * y1
+		}
+		if l15 != 0 {
+			y5 -= l15 * y1
+		}
+		if l20 != 0 {
+			y3 -= l20 * y2
+		}
+		if l21 != 0 {
+			y4 -= l21 * y2
+		}
+		if l25 != 0 {
+			y5 -= l25 * y2
+		}
+		d5 = y5 / a55
+		d4 = (y4 - a15*d5) / a14
+		d3 = (y3 - a05*d5) / a03
+		d2 = (y2 - a25*d5) / a22
+		d1 = y1 / a41
+		d0 = y0 / a30
+		x0, x1, x2, x3, x4, x5 = x0+d0, x1+d1, x2+d2, x3+d3, x4+d4, x5+d5
+	}
+	for _, v := range [...]float64{x0, x1, x2, x3, x4, x5} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
+		}
+	}
+	f := &ws.fact
+	f.n, f.a = 6, ws.af
+	f.minPivot, f.minPivotCol = minPivot, minPivotCol
+	U, L := (*[36]float64)(ws.af), (*[36]float64)(f.l)
+	U[0], U[1], U[2], U[3], U[4], U[5], L[1], L[2], L[3], L[4], L[5] = a30, 0, 0, 0, 0, 0, math.Copysign(0, a30), l02, l00, math.Copysign(0, a30), l05
+	U[7], U[8], U[9], U[10], U[11], L[8], L[9], L[10], L[11] = a41, 0, 0, 0, 0, l12, math.Copysign(0, a41), l11, l15
+	U[14], U[15], U[16], U[17], L[15], L[16], L[17] = a22, 0, 0, a25, l20, l21, l25
+	U[21], U[22], U[23], L[22], L[23] = a03, 0, a05, math.Copysign(0, a03), math.Copysign(0, a03)
+	U[28], U[29], L[29] = a14, a15, math.Copysign(0, a14)
+	U[35] = a55
+	perm, scale := (*[6]int)(f.perm), (*[6]float64)(f.scale)
+	*perm, *scale = [6]int{3, 4, 2, 0, 1, 5}, [6]float64{sc0, sc1, sc2, sc3, sc4, sc5}
+	*(*[6]float64)(ws.x) = [6]float64{x0, x1, x2, x3, x4, x5}
+	return ws.x, true
+}
+
+// negZero reports whether v is −0.
+func negZero(v float64) bool { return math.Float64bits(v) == 1<<63 }
+
 // absMax returns the larger of m and |v|, keeping m when v is NaN: the
 // generic factorization's row-maximum step.
 func absMax(m, v float64) float64 {

@@ -104,7 +104,12 @@ func (ws *SolveWorkspace) ensure(n int) {
 //
 // The stage sizes (3 and 6 unknowns) run a straight-line kernel generated
 // from the same algorithm (solve_gen.go); every other size runs the
-// generic loops below, which also serve as the kernels' test oracle.
+// generic loops below, which also serve as the kernels' test oracle. A
+// 6-unknown system first tries the kernel specialized to the two-input
+// MCSM stage's sparsity pattern and pivot order, which performs only the
+// dense kernel's operations on operands that are not structural zeros;
+// when the system or a pivot choice leaves that pattern, the dense kernel
+// solves the untouched system.
 func (s *System) SolveWith(ws *SolveWorkspace) ([]float64, error) {
 	n := s.N
 	ws.ensure(n)
@@ -112,6 +117,9 @@ func (s *System) SolveWith(ws *SolveWorkspace) ([]float64, error) {
 	case 3:
 		return s.solve3(ws)
 	case 6:
+		if x, ok := s.solve6Stage(ws); ok {
+			return x, nil
+		}
 		return s.solve6(ws)
 	}
 	return s.solveGeneric(ws)

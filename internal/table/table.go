@@ -13,8 +13,9 @@
 // in-range lookups for mild over/undershoot, and anything beyond saturates.
 //
 // Every lookup goes through one kernel: Seek locates a coordinate vector
-// into a Cursor, and Value/ValueGrad evaluate any table on the same grid
-// from it. At wraps the pair for a one-off lookup.
+// into a Cursor, and Eval evaluates any tables on the same grid from it,
+// Value and ValueGrad one table. At wraps Seek and Value for a one-off
+// lookup.
 package table
 
 import (
@@ -132,10 +133,11 @@ func (t *Table) Get(idx ...int) float64 {
 
 // Cursor is a located interpolation cell: the flat offsets of the 2^rank
 // cell corners, their multilinear weights, and (filled on the first
-// ValueGrad after a Seek) each axis's partial weights. Tables on one grid
-// share the cell geometry, so one Seek serves every table whose axes are
-// bit-identical to the seeked table's (see SameGrid), and Value/ValueGrad
-// then cost one pass over the corners each.
+// gradient lookup after a Seek) each axis's partial weight magnitudes.
+// Tables on one grid share the cell geometry, so one Seek serves every
+// table whose axes are bit-identical to the seeked table's (see SameGrid),
+// and Eval then evaluates them two at a time, in one pass over the
+// corners per pair.
 //
 // A Cursor is caller-owned scratch: it is not safe for concurrent use,
 // and it is large (a few KB), so hot loops keep one per grid and reuse it.
@@ -146,12 +148,12 @@ type Cursor struct {
 	frac       [MaxRank]float64
 	width      [MaxRank]float64
 	clamped    [MaxRank]bool
-	// part[i][c] is corner c's weight with axis i's factor left out (the
-	// product over the other axes, in axis order), negated when c takes
-	// axis i's lower breakpoint. Valid when partOK.
-	part   [MaxRank][maxCorners]float64
-	partOK bool
-	samp   [maxCorners]float64 // ValueGrad's gathered corner samples
+	// mag[i][h] is the magnitude of axis i's partial weight at the two
+	// corners whose index with bit i removed is h: the product over the
+	// other axes' factors, in axis order. Valid when magOK.
+	mag   [MaxRank][maxCorners / 2]float64
+	magOK bool
+	samp  [2][maxCorners]float64 // a table pair's gathered corner samples
 	// lo[i] is axis i's lower breakpoint index at the last Seek, the
 	// first bracket the next Seek tries on that axis.
 	lo [MaxRank]int
@@ -187,7 +189,7 @@ func (t *Table) Seek(cur *Cursor, coords []float64) {
 	if len(coords) != rank {
 		panic(fmt.Sprintf("table: %d coords for rank-%d table", len(coords), rank))
 	}
-	cur.rank, cur.size, cur.partOK = rank, len(t.Data), false
+	cur.rank, cur.size, cur.magOK = rank, len(t.Data), false
 	base := 0
 	nan := false
 	for i, x := range coords {
@@ -248,25 +250,20 @@ func (t *Table) Seek(cur *Cursor, coords []float64) {
 	}
 }
 
-// fillPartials computes part[i] for every unclamped axis i by the same
-// prefix tree as Seek's weights, with axis i's level splitting each
-// product into its negation (lower corner) and itself (upper corner)
-// instead of multiplying. Negation is exact, so a signed partial times a
-// sample over the width is bit-for-bit the negated unsigned term, and
-// adding it equals subtracting the unsigned one.
-func (cur *Cursor) fillPartials() {
+// fillMagnitudes computes mag[i] for every unclamped axis i by the same
+// prefix tree as Seek's weights with axis i's level left out, so each
+// magnitude is the product of the same factors in the same order as a
+// per-corner loop's partial weight.
+func (cur *Cursor) fillMagnitudes() {
 	for i := 0; i < cur.rank; i++ {
 		if cur.clamped[i] {
 			continue
 		}
-		p := cur.part[i][:]
+		p := cur.mag[i][:]
 		p[0] = 1
-		for j, m := 0, 1; j < cur.rank; j, m = j+1, m<<1 {
+		m := 1
+		for j := 0; j < cur.rank; j++ {
 			if j == i {
-				for k := 0; k < m; k++ {
-					p[k+m] = p[k]
-					p[k] = -p[k]
-				}
 				continue
 			}
 			f, g := cur.frac[j], 1-cur.frac[j]
@@ -275,9 +272,10 @@ func (cur *Cursor) fillPartials() {
 				p[k] = v * g
 				p[k+m] = v * f
 			}
+			m <<= 1
 		}
 	}
-	cur.partOK = true
+	cur.magOK = true
 }
 
 // Cursor1 is the cursor of a rank-1 table: the bracket its last lookup
@@ -357,32 +355,83 @@ func (t *Table) Value(cur *Cursor) float64 {
 // written into grad[:rank]. Inside a cell the gradient is the exact
 // derivative of the multilinear interpolant; along a clamped axis it is
 // zero (the interpolant is constant beyond the span), which is how the
-// Newton solver should see a saturated table. Per axis the signed corner
-// terms (partial weight × sample) / cell width accumulate in corner order.
+// Newton solver should see a saturated table.
 func (t *Table) ValueGrad(cur *Cursor, grad []float64) float64 {
-	t.check(cur)
-	if !cur.partOK {
-		cur.fillPartials()
+	var v [1]float64
+	Eval(cur, []*Table{t}, v[:], [][]float64{grad})
+	return v[0]
+}
+
+// Eval evaluates tables, every one on the grid cur was seeked on
+// (SameGrid): vals[k] gets tables[k]'s value and, when grads is not nil,
+// grads[k][:rank] its gradient (see ValueGrad), each bit for bit what
+// Value and ValueGrad return for that table alone.
+//
+// The tables go two at a time, each pair in one pass over the cell's
+// corners that gathers both tables' samples, with one accumulator per
+// output; a lone last table pairs with itself. A value sums weight ×
+// sample in corner order. Along an unclamped axis a gradient sums
+// magnitude × sample / cell width in corner order, added at a corner on
+// the axis's upper breakpoint and subtracted at one on its lower: the
+// reference loop's arithmetic, and the same IEEE result as adding a
+// negated term. Each accumulator receives the same terms in the same
+// order whichever table shares its pass, so pairing changes no bit.
+func Eval(cur *Cursor, tables []*Table, vals []float64, grads [][]float64) {
+	for _, t := range tables {
+		t.check(cur)
 	}
-	grad = grad[:cur.rank]
+	if grads != nil && !cur.magOK {
+		cur.fillMagnitudes()
+	}
+	for k := 0; k < len(tables); k += 2 {
+		j := min(k+1, len(tables)-1)
+		var ga, gb []float64
+		if grads != nil {
+			ga, gb = grads[k], grads[j]
+		}
+		vals[k], vals[j] = cur.evalPair(tables[k], tables[j], ga, gb)
+	}
+}
+
+// evalPair is Eval for tables a and b: their values, and when ga is not
+// nil their gradients in ga and gb.
+func (cur *Cursor) evalPair(a, b *Table, ga, gb []float64) (va, vb float64) {
 	n := 1 << cur.rank
-	d, w, samp := t.Data, cur.w[:n], cur.samp[:n]
-	var v float64
+	w, sa, sb := cur.w[:n], cur.samp[0][:n], cur.samp[1][:n]
+	da, db := a.Data, b.Data
 	for c, o := range cur.off[:n] {
-		samp[c] = d[o]
-		v += w[c] * samp[c]
+		x, y := da[o], db[o]
+		sa[c], sb[c] = x, y
+		va += w[c] * x
+		vb += w[c] * y
 	}
-	for i := range grad {
-		var g float64
+	if ga == nil {
+		return va, vb
+	}
+	for i := range ga[:cur.rank] {
+		var gx, gy float64
 		if !cur.clamped[i] {
-			width := cur.width[i]
-			for c, p := range cur.part[i][:n] {
-				g += p * samp[c] / width
+			// Corner order along axis i: blocks of 2^i corners on its
+			// lower breakpoint, then the 2^i on its upper one, which
+			// share the block's magnitudes.
+			width, half := cur.width[i], 1<<i
+			for h, c := 0, 0; c < n; h, c = h+half, c+2*half {
+				ms := cur.mag[i][h : h+half]
+				xs, ys := sa[c:c+half], sb[c:c+half]
+				for j, m := range ms {
+					gx -= m * xs[j] / width
+					gy -= m * ys[j] / width
+				}
+				xs, ys = sa[c+half:c+2*half], sb[c+half:c+2*half]
+				for j, m := range ms {
+					gx += m * xs[j] / width
+					gy += m * ys[j] / width
+				}
 			}
 		}
-		grad[i] = g
+		ga[i], gb[i] = gx, gy
 	}
-	return v
+	return va, vb
 }
 
 // At evaluates the table at the given coordinates with clamped multilinear

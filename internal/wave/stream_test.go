@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // liveQueries are the times a live read is checked at: every sample time,
@@ -121,6 +122,34 @@ func TestStreamFailure(t *testing.T) {
 	}
 	if (Waveform{}).Stream() != nil || s.Waveform().Stream() != s {
 		t.Errorf("Stream does not return the live view's stream")
+	}
+}
+
+// TestAtNaN: Waveform.At and Cursor.At read NaN at a NaN time — on an
+// ordinary waveform, where the search used to index past the end, and on
+// the live view of a stream that is still open, without waiting for it.
+func TestAtNaN(t *testing.T) {
+	w := MustNew([]float64{0, 1e-12, 2e-12, 3e-12}, []float64{0, 1, 1, 0})
+	s := NewStream(nil)
+	s.Publish(Waveform{T: w.T[:2:2], V: w.V[:2:2]})
+	defer s.Close(w, nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, v := range []Waveform{w, s.Waveform()} {
+			c := Cursor{W: v}
+			if got := v.At(math.NaN()); !math.IsNaN(got) {
+				t.Errorf("At(NaN) = %v, want NaN", got)
+			}
+			if got := c.At(math.NaN()); !math.IsNaN(got) {
+				t.Errorf("Cursor.At(NaN) = %v, want NaN", got)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("At(NaN) on a live view waited for its open stream")
 	}
 }
 

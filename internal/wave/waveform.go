@@ -119,8 +119,12 @@ func (w Waveform) First() float64 { w.whole(); return w.V[0] }
 func (w Waveform) Last() float64 { w.whole(); return w.V[len(w.V)-1] }
 
 // At evaluates the waveform at time t with linear interpolation, clamping to
-// the first/last value outside the sampled span.
+// the first/last value outside the sampled span. A NaN time reads NaN,
+// without waiting on a live view's stream.
 func (w Waveform) At(t float64) float64 {
+	if t != t {
+		return math.NaN()
+	}
 	if w.live != nil && !w.covers(t) {
 		w = w.live.await(t)
 	}
@@ -163,6 +167,9 @@ type Cursor struct {
 
 // At evaluates the cursor's waveform at t like Waveform.At.
 func (c *Cursor) At(t float64) float64 {
+	if t != t {
+		return math.NaN()
+	}
 	if c.W.live != nil && !c.W.covers(t) {
 		c.W = c.W.live.await(t)
 	}
