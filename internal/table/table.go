@@ -14,8 +14,8 @@
 //
 // Every lookup goes through one kernel: Seek locates a coordinate vector
 // into a Cursor, and Eval evaluates any tables on the same grid from it,
-// Value and ValueGrad one table. At wraps Seek and Value for a one-off
-// lookup.
+// two at a time; Value and ValueGrad evaluate one. At wraps Seek and Value
+// for a one-off lookup.
 package table
 
 import (
@@ -132,12 +132,10 @@ func (t *Table) Get(idx ...int) float64 {
 }
 
 // Cursor is a located interpolation cell: the flat offsets of the 2^rank
-// cell corners, their multilinear weights, and (filled on the first
-// gradient lookup after a Seek) each axis's partial weight magnitudes.
-// Tables on one grid share the cell geometry, so one Seek serves every
-// table whose axes are bit-identical to the seeked table's (see SameGrid),
-// and Eval then evaluates them two at a time, in one pass over the
-// corners per pair.
+// cell corners and their multilinear weights, with scratch for the
+// lookups that read them. Tables on one grid share the cell geometry, so
+// one Seek serves every table whose axes are bit-identical to the seeked
+// table's (see SameGrid), and Eval then evaluates them two at a time.
 //
 // A Cursor is caller-owned scratch: it is not safe for concurrent use,
 // and it is large (a few KB), so hot loops keep one per grid and reuse it.
@@ -148,12 +146,11 @@ type Cursor struct {
 	frac       [MaxRank]float64
 	width      [MaxRank]float64
 	clamped    [MaxRank]bool
-	// mag[i][h] is the magnitude of axis i's partial weight at the two
-	// corners whose index with bit i removed is h: the product over the
-	// other axes' factors, in axis order. Valid when magOK.
-	mag   [MaxRank][maxCorners / 2]float64
-	magOK bool
-	samp  [2][maxCorners]float64 // a table pair's gathered corner samples
+	// part[c] is corner c's weight with one axis's factor left out,
+	// negated on that axis's lower breakpoint: scratch of a gradient
+	// lookup, filled for one axis at a time.
+	part [maxCorners]float64
+	samp [2][maxCorners]float64 // a table pair's gathered corner samples
 	// lo[i] is axis i's lower breakpoint index at the last Seek, the
 	// first bracket the next Seek tries on that axis.
 	lo [MaxRank]int
@@ -189,7 +186,7 @@ func (t *Table) Seek(cur *Cursor, coords []float64) {
 	if len(coords) != rank {
 		panic(fmt.Sprintf("table: %d coords for rank-%d table", len(coords), rank))
 	}
-	cur.rank, cur.size, cur.magOK = rank, len(t.Data), false
+	cur.rank, cur.size = rank, len(t.Data)
 	base := 0
 	nan := false
 	for i, x := range coords {
@@ -250,32 +247,32 @@ func (t *Table) Seek(cur *Cursor, coords []float64) {
 	}
 }
 
-// fillMagnitudes computes mag[i] for every unclamped axis i by the same
-// prefix tree as Seek's weights with axis i's level left out, so each
-// magnitude is the product of the same factors in the same order as a
-// per-corner loop's partial weight.
-func (cur *Cursor) fillMagnitudes() {
-	for i := 0; i < cur.rank; i++ {
-		if cur.clamped[i] {
+// partials fills part with axis i's partial weights by the same prefix
+// tree as Seek's weights, with axis i's level splitting each product
+// into its negation (lower corner) and itself (upper corner) instead of
+// multiplying. Negation is exact, so a signed partial times a sample over
+// the width is bit for bit the negated unsigned term, and adding it
+// equals subtracting the unsigned one, as the per-corner loop did. Eval
+// builds one axis's partials just before the pass that reads them, so
+// the tree's multiplications overlap the previous axis's divisions.
+func (cur *Cursor) partials(i int) {
+	p := cur.part[:]
+	p[0] = 1
+	for j, m := 0, 1; j < cur.rank; j, m = j+1, m<<1 {
+		lo, hi := p[:m], p[m:2*m]
+		if j == i {
+			for k, v := range lo {
+				hi[k] = v
+				lo[k] = -v
+			}
 			continue
 		}
-		p := cur.mag[i][:]
-		p[0] = 1
-		m := 1
-		for j := 0; j < cur.rank; j++ {
-			if j == i {
-				continue
-			}
-			f, g := cur.frac[j], 1-cur.frac[j]
-			for k := 0; k < m; k++ {
-				v := p[k]
-				p[k] = v * g
-				p[k+m] = v * f
-			}
-			m <<= 1
+		f, g := cur.frac[j], 1-cur.frac[j]
+		for k, v := range lo {
+			lo[k] = v * g
+			hi[k] = v * f
 		}
 	}
-	cur.magOK = true
 }
 
 // Cursor1 is the cursor of a rank-1 table: the bracket its last lookup
@@ -364,24 +361,19 @@ func (t *Table) ValueGrad(cur *Cursor, grad []float64) float64 {
 
 // Eval evaluates tables, every one on the grid cur was seeked on
 // (SameGrid): vals[k] gets tables[k]'s value and, when grads is not nil,
-// grads[k][:rank] its gradient (see ValueGrad), each bit for bit what
-// Value and ValueGrad return for that table alone.
+// grads[k][:rank] its gradient (see ValueGrad), each bit for bit what a
+// lookup of that table alone returns.
 //
-// The tables go two at a time, each pair in one pass over the cell's
-// corners that gathers both tables' samples, with one accumulator per
-// output; a lone last table pairs with itself. A value sums weight ×
-// sample in corner order. Along an unclamped axis a gradient sums
-// magnitude × sample / cell width in corner order, added at a corner on
-// the axis's upper breakpoint and subtracted at one on its lower: the
-// reference loop's arithmetic, and the same IEEE result as adding a
-// negated term. Each accumulator receives the same terms in the same
-// order whichever table shares its pass, so pairing changes no bit.
+// The tables go two at a time, with one accumulator per output: a pass
+// over the cell's corners reads both tables' samples and sums their
+// values, weight × sample in corner order, and a pass per unclamped axis
+// sums their gradients, partial weight × sample / cell width in corner
+// order. A lone last table pairs with itself. Each accumulator receives
+// the same terms in the same order whichever table shares its passes, so
+// pairing changes no bit.
 func Eval(cur *Cursor, tables []*Table, vals []float64, grads [][]float64) {
 	for _, t := range tables {
 		t.check(cur)
-	}
-	if grads != nil && !cur.magOK {
-		cur.fillMagnitudes()
 	}
 	for k := 0; k < len(tables); k += 2 {
 		j := min(k+1, len(tables)-1)
@@ -397,36 +389,30 @@ func Eval(cur *Cursor, tables []*Table, vals []float64, grads [][]float64) {
 // nil their gradients in ga and gb.
 func (cur *Cursor) evalPair(a, b *Table, ga, gb []float64) (va, vb float64) {
 	n := 1 << cur.rank
-	w, sa, sb := cur.w[:n], cur.samp[0][:n], cur.samp[1][:n]
-	da, db := a.Data, b.Data
+	w, da, db := cur.w[:n], a.Data, b.Data
+	if ga == nil {
+		for c, o := range cur.off[:n] {
+			va += w[c] * da[o]
+			vb += w[c] * db[o]
+		}
+		return va, vb
+	}
+	sa, sb := cur.samp[0][:n], cur.samp[1][:n]
 	for c, o := range cur.off[:n] {
 		x, y := da[o], db[o]
 		sa[c], sb[c] = x, y
 		va += w[c] * x
 		vb += w[c] * y
 	}
-	if ga == nil {
-		return va, vb
-	}
+	p := cur.part[:n]
 	for i := range ga[:cur.rank] {
 		var gx, gy float64
 		if !cur.clamped[i] {
-			// Corner order along axis i: blocks of 2^i corners on its
-			// lower breakpoint, then the 2^i on its upper one, which
-			// share the block's magnitudes.
-			width, half := cur.width[i], 1<<i
-			for h, c := 0, 0; c < n; h, c = h+half, c+2*half {
-				ms := cur.mag[i][h : h+half]
-				xs, ys := sa[c:c+half], sb[c:c+half]
-				for j, m := range ms {
-					gx -= m * xs[j] / width
-					gy -= m * ys[j] / width
-				}
-				xs, ys = sa[c+half:c+2*half], sb[c+half:c+2*half]
-				for j, m := range ms {
-					gx += m * xs[j] / width
-					gy += m * ys[j] / width
-				}
+			cur.partials(i)
+			width := cur.width[i]
+			for c, pc := range p {
+				gx += pc * sa[c] / width
+				gy += pc * sb[c] / width
 			}
 		}
 		ga[i], gb[i] = gx, gy
