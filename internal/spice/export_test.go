@@ -1,12 +1,5 @@
 package spice
 
-// SolveGeneric runs SolveWith's generic loops whatever the size, for the
-// external tests that compare the kernels on captured stage systems.
-func SolveGeneric(s *System, ws *SolveWorkspace) ([]float64, error) {
-	ws.ensure(s.N)
-	return s.solveGeneric(ws)
-}
-
 // StagePattern6 is solve6Stage's sparsity pattern, one string per row of
 // A ('X' where an entry may be nonzero).
 var StagePattern6 = stagePattern6
